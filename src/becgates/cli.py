@@ -1,15 +1,20 @@
 """Command-line interface: gate verification, evolutions, sweeps, trajectories.
 
-Frequencies are interpreted in units of the coupling g unless ``--si`` is
-passed, in which case inputs are angular frequencies in rad/s and times are
-seconds.  Every formula in the library is scale invariant, so the two modes
-share one code path; the flag fixes how values are labeled and recorded.
+Units: frequencies (g, delta, trap frequencies, collision strengths) may be
+given in any one consistent unit, and times are then in its inverse.  Every
+formula in the library is scale invariant, so rad/s with seconds and the
+dimensionless g = 1 units of the sweeps share one code path.
 
-Exit codes: 0 on success, 2 on validation errors (bad flags or config
-fields), 1 on internal errors.  Outputs are deterministic: rerunning a
-command with the same config reproduces files bitwise, and each output CSV
-gets a JSON sidecar (``<output>.meta.json``) that can be passed back via
-``--config`` to reproduce the CSV.
+``evolve``, ``trajectory`` and ``sweep`` take a JSON config; a flag given on
+the command line overrides the config key of the same name (``--t``,
+``--kind``, ``--gate``, ``--n-atoms``, ``--workers``).  Each command resolves
+and validates its whole input before it computes anything, then writes the
+output CSV and a JSON sidecar (``<output>.meta.json``) holding the resolved
+config.  Outputs are deterministic: the same config reproduces both files
+bitwise, and a sidecar passed back via ``--config`` reproduces its CSV.
+
+Exit codes: 0 on success, 2 on bad input (flags or config fields; one stderr
+line naming the field, and no file is written), 1 on an internal error.
 """
 
 from __future__ import annotations
@@ -18,8 +23,11 @@ import argparse
 import json
 import math
 import sys
+import traceback
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import NoReturn
 
 import numpy as np
 
@@ -28,7 +36,9 @@ from .fock import AcsParams, acs_state, state_to_csv
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
     GateId,
+    GateSpec,
     PHASE_GATES,
+    TRANSFER_GATES,
     gate_conditions,
     gate_spec_to_dict,
     params_for_gate,
@@ -71,208 +81,199 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _initial_from_config(cfg: Mapping, default: AcsParams | None = None) -> AcsParams:
-    if "initial" not in cfg:
-        if default is not None:
-            return default
-        raise ValidationError("field 'initial' is missing from config")
-    node = cfg["initial"]
-    if not isinstance(node, dict) or set(node) != {"theta", "phi"}:
-        raise ValidationError("field 'initial' must be an object with keys 'theta' and 'phi'")
-    try:
-        return AcsParams(theta=float(node["theta"]), phi=float(node["phi"]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field 'initial': {exc}") from None
+# --------------------------------------------------------- one reader per field type
 
 
-def _axis_from_config(cfg: Mapping, key: str, default: np.ndarray) -> np.ndarray:
-    if key not in cfg:
-        return np.asarray(default, dtype=float)
-    node = cfg[key]
-    if isinstance(node, dict):
-        extra = set(node) - {"start", "stop", "num"}
-        if extra:
-            raise ValidationError(f"field '{key}.{sorted(extra)[0]}' is not recognized")
-        try:
-            return np.linspace(float(node["start"]), float(node["stop"]), int(node["num"]))
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(
-                f"field '{key}' must be a list of numbers or "
-                "an object with keys start, stop, num"
-            ) from None
-    if not isinstance(node, list) or not node:
-        raise ValidationError(f"field '{key}' must be a non-empty list of numbers")
-    try:
-        return np.asarray([float(v) for v in node], dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"field '{key}' must contain only numbers") from None
+def _reject(name: str, value, expected: str) -> NoReturn:
+    if value is None:
+        raise ValidationError(f"field '{name}' is missing")
+    raise ValidationError(f"field '{name}' must be {expected}, got {value!r}")
 
 
-def _int_field(cfg: Mapping, key: str, default: int, minimum: int) -> int:
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"field '{key}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValidationError(f"field '{key}' must be >= {minimum}, got {value}")
+def _number(name: str, value, minimum: float = -math.inf, strict: bool = False) -> float:
+    """A finite number, not a bool, that is >= minimum (> minimum when strict)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound also keeps JSON integers too large for a float out
+    x = float(value) if number and abs(value) <= sys.float_info.max else math.nan
+    if not (x > minimum if strict else x >= minimum):  # NaN fails both
+        bound = "" if minimum == -math.inf else f" {'>' if strict else '>='} {minimum:g}"
+        _reject(name, value, "a finite number" + bound)
+    return x
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        _reject(name, value, f"an integer >= {minimum}")
     return value
 
 
-def _gate_from_name(name: str) -> GateId:
+def _axis(name: str, value) -> np.ndarray:
+    """A non-empty list of finite numbers, or {start, stop, num} with num >= 1."""
+    if isinstance(value, dict):
+        extra = set(value) - {"start", "stop", "num"}
+        if extra:
+            raise ValidationError(f"field '{name}.{sorted(extra)[0]}' is not recognized")
+        axis = np.linspace(
+            _number(f"{name}.start", value.get("start")),
+            _number(f"{name}.stop", value.get("stop")),
+            _integer(f"{name}.num", value.get("num"), 1),
+        )
+        if not np.isfinite(axis).all():  # stop - start can overflow
+            _reject(name, value, "an axis of finite values")
+        return axis
+    if not isinstance(value, list) or not value:
+        _reject(name, value, "a non-empty list of numbers or an object with keys start, stop, num")
+    return np.array([_number(f"{name}[{i}]", v) for i, v in enumerate(value)])
+
+
+def _initial(value) -> AcsParams:
+    if not isinstance(value, dict) or set(value) != {"theta", "phi"}:
+        _reject("initial", value, "an object with keys 'theta' and 'phi'")
+    theta, phi = (_number(f"initial.{key}", value[key]) for key in ("theta", "phi"))
     try:
-        return GateId(name.lower())
-    except ValueError:
-        raise ValidationError(
-            f"field 'gate' must be one of {[g.value for g in GateId]}, got {name!r}"
-        ) from None
+        return AcsParams(theta=theta, phi=phi)
+    except ValueError as exc:
+        raise ValidationError(f"field 'initial': {exc}") from None
 
 
-def _write_output(path: str, text: str, sidecar: dict) -> None:
-    out = Path(path)
+def _gate(value) -> GateId:
+    names = [g.value for g in GateId]
+    if not isinstance(value, str) or value.lower() not in names:
+        _reject("gate", value, f"one of {names}")
+    return GateId(value.lower())
+
+
+def _gate_spec(gate: GateId, g: float, detuning_factor: float) -> GateSpec:
+    try:
+        return gate_conditions(gate, g, detuning_factor)
+    except ValueError as exc:  # g and the factor are finite and g > 0: the factor is too small
+        raise ValidationError(f"field 'detuning_factor': {exc}") from None
+
+
+# ----------------------------------------------- resolve: config -> (config, provenance, run)
+
+
+def _params_and_initial(cfg: dict):
+    """The 'params' and 'initial' fields that evolve and trajectory share."""
+    if not isinstance(cfg.get("params"), dict):
+        _reject("params", cfg.get("params"), "an object with the parameter keys")
+    p = params_from_dict(cfg["params"])
+    initial = _initial(cfg.get("initial"))
+    return p, initial, {"params": params_to_dict(p), "initial": asdict(initial)}
+
+
+def _resolve_evolve(cfg: dict):
+    p, initial, resolved = _params_and_initial(cfg)
+    t = resolved["t"] = _number("t", cfg.get("t"), minimum=0.0)
+    return resolved, None, lambda: state_to_csv(evolve_oracle(p, acs_state(initial, p.n_atoms), t))
+
+
+def _resolve_trajectory(cfg: dict):
+    p, initial, resolved = _params_and_initial(cfg)
+    t_final = resolved["t_final"] = _number("t_final", cfg.get("t_final"), minimum=0.0, strict=True)
+    n_samples = resolved["n_samples"] = _integer("n_samples", cfg.get("n_samples", 101), 2)
+    return resolved, None, lambda: trajectory(p, initial, t_final, n_samples).to_csv()
+
+
+def _resolve_sweep(cfg: dict):
+    kind = cfg.get("kind")
+    if kind not in ("lambda-gamma", "delta"):
+        _reject("kind", kind, "'lambda-gamma' or 'delta'")
+    gate = _gate(cfg.get("gate"))
+    n_atoms = _integer("n_atoms", cfg.get("n_atoms", 1000), 1)
+    initial = _initial(cfg.get("initial", {"theta": math.pi / 8.0, "phi": 0.0}))
+    workers = _integer("workers", cfg.get("workers", 1), 1)
+    resolved = {"kind": kind, "gate": gate.value, "n_atoms": n_atoms,
+                "initial": asdict(initial), "workers": workers}
+
+    def axis(key: str, default: np.ndarray) -> np.ndarray:
+        values = _axis(key, cfg.get(key, default.tolist()))
+        resolved[key] = values.tolist()
+        return values
+
+    if kind == "lambda-gamma":
+        factor = resolved["detuning_factor"] = _number(
+            "detuning_factor", cfg.get("detuning_factor", DEFAULT_DETUNING_FACTOR)
+        )
+        spec = _gate_spec(gate, 1.0, factor)
+        sweep = partial(
+            sweep_lambda_gamma, gate, axis("lambda_values", DEFAULT_LAMBDA_VALUES),
+            axis("dgamma_ratio_values", DEFAULT_DGAMMA_RATIO_VALUES), detuning_factor=factor,
+        )
+    else:
+        if gate not in TRANSFER_GATES:
+            raise ValidationError(
+                f"field 'gate': the delta sweep applies to transfer gates only, got {gate.value!r}"
+            )
+        spec = gate_conditions(gate, 1.0)
+        sweep = partial(sweep_delta, gate, axis("ddelta_ratio_values", DEFAULT_DDELTA_RATIO_VALUES))
+    provenance = {
+        "gate_spec_in_g_units": gate_spec_to_dict(spec),
+        "realization": (
+            "gamma_a = gamma_b = 0; gamma_ab = 2*lambda; "
+            "omega_a - omega_b = gamma_g*(1 + dgamma_ratio); "
+            "delta = delta_g*(1 +/- ddelta_ratio), worst sign recorded"
+        ),
+    }
+
+    def run() -> str:
+        grid = sweep(n_atoms=n_atoms, initial=initial, workers=workers)
+        provenance["axes"] = {"axis1": grid.axis1_name, "axis2": grid.axis2_name}
+        return grid.to_csv()
+
+    return resolved, provenance, run
+
+
+# name: (resolve, help, the config keys it reads)
+_COMMANDS = {
+    "evolve": (
+        _resolve_evolve,
+        "evolve an initial coherent state and write the final state CSV (columns k,re,im)",
+        "'params', 'initial', 't'",
+    ),
+    "trajectory": (
+        _resolve_trajectory,
+        "sample the Bloch trajectory and write a t,x,y,z CSV",
+        "'params', 'initial', 't_final', 'n_samples'",
+    ),
+    "sweep": (
+        _resolve_sweep,
+        "run a fidelity sweep and write its CSV",
+        "'kind', 'gate', 'n_atoms', 'initial', 'workers', 'detuning_factor' and the axes",
+    ),
+}
+
+
+def _run(args: argparse.Namespace, flags: dict) -> int:
+    """Load the config, let the flags override it, resolve, run, write CSV and sidecar."""
+    config = _load_config(args.config) if args.config else {}
+    resolved, provenance, run = _COMMANDS[args.command][0]({**config, **flags})
+    text = run()
+    sidecar = {"command": args.command, "config": resolved}
+    if provenance is not None:
+        sidecar["provenance"] = provenance
+    out = Path(args.output)
     out.write_text(text)
     meta = out.with_name(out.name + ".meta.json")
     meta.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    return 0
 
 
-def _cmd_gate_check(args: argparse.Namespace) -> int:
-    gate = _gate_from_name(args.gate)
-    factor = args.detuning_factor if args.detuning_factor is not None else DEFAULT_DETUNING_FACTOR
-    spec = gate_conditions(gate, args.g, factor)
+def _gate_check(flags: dict) -> int:
+    gate = _gate(flags.get("gate"))
+    g = _number("g", flags.get("g"), minimum=0.0, strict=True)
+    factor = _number("detuning_factor", flags.get("detuning_factor", DEFAULT_DETUNING_FACTOR))
+    spec = _gate_spec(gate, g, factor)
     p = params_for_gate(spec, 1)
-    dp = derive_params(p)
-    prop = qubit_propagator(dp, p.delta, spec.t_gate)
+    prop = qubit_propagator(derive_params(p), p.delta, spec.t_gate)
     dev = up_to_phase_deviation(prop.matrix, spec.target)
-    freq_unit = "rad/s" if args.si else "units of g"
-    time_unit = "s" if args.si else "1/g"
     print(f"gate: {gate.value}")
-    print(f"t_gate: {_fmt(spec.t_gate)} [{time_unit}]")
-    print(f"delta_g: {_fmt(spec.delta_g)} [{freq_unit}]")
-    print(f"gamma_g: {_fmt(spec.gamma_g)} [{freq_unit}]")
+    print(f"t_gate: {_fmt(spec.t_gate)} [1/(unit of g)]")
+    print(f"delta_g: {_fmt(spec.delta_g)} [unit of g]")
+    print(f"gamma_g: {_fmt(spec.gamma_g)} [unit of g]")
     if gate in PHASE_GATES:
         print(f"detuning_factor: {_fmt(spec.detuning_factor)}")
     print(f"deviation_up_to_phase: {_fmt(dev)}")
-    return 0
-
-
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    if "params" not in cfg:
-        raise ValidationError("field 'params' is missing from config")
-    t = cfg.get("t", args.t)
-    if t is None:
-        raise ValidationError("field 't' is missing (pass --t or set it in the config)")
-    t = float(t)
-    p = params_from_dict(cfg["params"])
-    initial = _initial_from_config(cfg)
-    s0 = acs_state(initial, p.n_atoms)
-    final = evolve_oracle(p, s0, t)
-    sidecar = {
-        "command": "evolve",
-        "si": bool(args.si),
-        "config": {
-            "params": params_to_dict(p),
-            "initial": {"theta": initial.theta, "phi": initial.phi},
-            "t": t,
-        },
-    }
-    _write_output(args.output, state_to_csv(final), sidecar)
-    return 0
-
-
-def _cmd_trajectory(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    if "params" not in cfg:
-        raise ValidationError("field 'params' is missing from config")
-    p = params_from_dict(cfg["params"])
-    initial = _initial_from_config(cfg)
-    if "t_final" not in cfg:
-        raise ValidationError("field 't_final' is missing from config")
-    t_final = float(cfg["t_final"])
-    n_samples = _int_field(cfg, "n_samples", 101, 2)
-    tr = trajectory(p, initial, t_final, n_samples)
-    sidecar = {
-        "command": "trajectory",
-        "si": bool(args.si),
-        "config": {
-            "params": params_to_dict(p),
-            "initial": {"theta": initial.theta, "phi": initial.phi},
-            "t_final": t_final,
-            "n_samples": n_samples,
-        },
-    }
-    _write_output(args.output, tr.to_csv(), sidecar)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    kind = args.kind or cfg.get("kind")
-    if kind not in ("lambda-gamma", "delta"):
-        raise ValidationError(
-            f"field 'kind' must be 'lambda-gamma' or 'delta', got {kind!r}"
-        )
-    gate_name = args.gate or cfg.get("gate")
-    if gate_name is None:
-        raise ValidationError("field 'gate' is missing (pass --gate or set it in the config)")
-    gate = _gate_from_name(gate_name)
-    if args.n_atoms is not None:
-        if args.n_atoms < 1:
-            raise ValidationError(f"field 'n_atoms' must be >= 1, got {args.n_atoms}")
-        n_atoms = args.n_atoms
-    else:
-        n_atoms = _int_field(cfg, "n_atoms", 1000, 1)
-    initial = _initial_from_config(cfg, default=AcsParams(theta=math.pi / 8.0, phi=0.0))
-    workers = args.workers if args.workers is not None else _int_field(cfg, "workers", 1, 1)
-    resolved = {
-        "kind": kind,
-        "gate": gate.value,
-        "n_atoms": n_atoms,
-        "initial": {"theta": initial.theta, "phi": initial.phi},
-        "workers": workers,
-    }
-    if "seed" in cfg:
-        resolved["seed"] = cfg["seed"]  # reserved; engines are deterministic
-
-    if kind == "lambda-gamma":
-        factor = float(cfg.get("detuning_factor", DEFAULT_DETUNING_FACTOR))
-        lam = _axis_from_config(cfg, "lambda_values", DEFAULT_LAMBDA_VALUES)
-        rat = _axis_from_config(cfg, "dgamma_ratio_values", DEFAULT_DGAMMA_RATIO_VALUES)
-        try:
-            grid = sweep_lambda_gamma(
-                gate, lam, rat, n_atoms, initial, detuning_factor=factor, workers=workers
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-        resolved["detuning_factor"] = factor
-        resolved["lambda_values"] = [float(v) for v in lam]
-        resolved["dgamma_ratio_values"] = [float(v) for v in rat]
-        spec = gate_conditions(gate, 1.0, factor)
-    else:
-        rat = _axis_from_config(cfg, "ddelta_ratio_values", DEFAULT_DDELTA_RATIO_VALUES)
-        try:
-            grid = sweep_delta(gate, rat, n_atoms, initial, workers=workers)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-        resolved["ddelta_ratio_values"] = [float(v) for v in rat]
-        spec = gate_conditions(gate, 1.0)
-
-    sidecar = {
-        "command": "sweep",
-        "si": False,
-        "config": resolved,
-        "provenance": {
-            "gate_spec_in_g_units": gate_spec_to_dict(spec),
-            "axes": {
-                "axis1": grid.axis1_name,
-                "axis2": grid.axis2_name,
-            },
-            "realization": (
-                "gamma_a = gamma_b = 0; gamma_ab = 2*lambda; "
-                "omega_a - omega_b = gamma_g*(1 + dgamma_ratio); "
-                "delta = delta_g*(1 +/- ddelta_ratio), worst sign recorded"
-            ),
-        },
-    }
-    _write_output(args.output, grid.to_csv(), sidecar)
     return 0
 
 
@@ -282,63 +283,51 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Simulate single-qubit gates on a coupled two-mode BEC qubit: "
             "verify gate conditions, evolve states, sweep robustness, trace "
-            "Bloch trajectories."
+            "Bloch trajectories.  A flag overrides the config key of the same name."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("gate-check", help="print a gate's conditions and its propagator deviation")
     pc.add_argument("--gate", required=True, help="gate id: not, y, h, z, s, t")
-    pc.add_argument("--g", type=float, required=True, help="two-photon coupling strength")
+    pc.add_argument("--g", type=float, required=True, help="two-photon coupling, in any unit")
     pc.add_argument(
-        "--detuning-factor",
-        type=float,
-        default=None,
-        help="delta_g/g for phase gates (default 100; must be >= 25)",
+        "--detuning-factor", type=float, help="delta_g/g for phase gates (default 100; must be >= 25)"
     )
-    pc.add_argument("--si", action="store_true", help="interpret frequencies as rad/s, times as s")
-    pc.set_defaults(func=_cmd_gate_check)
 
-    pe = sub.add_parser("evolve", help="evolve an initial coherent state and write the final state CSV")
-    pe.add_argument("--config", required=True, help="JSON config with 'params' and 'initial'")
-    pe.add_argument("--t", type=float, default=None, help="evolution time")
-    pe.add_argument("--output", required=True, help="output CSV path (columns k,re,im)")
-    pe.add_argument("--si", action="store_true", help="interpret frequencies as rad/s, times as s")
-    pe.set_defaults(func=_cmd_evolve)
-
-    pt = sub.add_parser("trajectory", help="sample the Bloch trajectory and write t,x,y,z CSV")
-    pt.add_argument("--config", required=True, help="JSON config with 'params', 'initial', 't_final'")
-    pt.add_argument("--output", required=True, help="output CSV path (columns t,x,y,z)")
-    pt.add_argument("--si", action="store_true", help="interpret frequencies as rad/s, times as s")
-    pt.set_defaults(func=_cmd_trajectory)
-
-    ps = sub.add_parser("sweep", help="run a fidelity sweep and write CSV plus JSON sidecar")
+    io = {}
+    for name, (_, help_, keys) in _COMMANDS.items():
+        io[name] = p = sub.add_parser(name, help=help_)
+        p.add_argument(
+            "--config",
+            required=name != "sweep",
+            help=f"JSON config with {keys}, or the sidecar of an earlier run",
+        )
+        p.add_argument("--output", required=True, help="output CSV (sidecar: <output>.meta.json)")
+    io["evolve"].add_argument("--t", type=float, help="evolution time")
+    ps = io["sweep"]
     ps.add_argument("--kind", choices=["lambda-gamma", "delta"], help="sweep kind")
     ps.add_argument("--gate", help="gate id: not, y, h, z, s, t")
-    ps.add_argument("--config", help="JSON config (grids, n_atoms, initial, detuning_factor)")
-    ps.add_argument("--output", required=True, help="output CSV path")
-    ps.add_argument("--workers", type=int, default=None, help="parallel workers (default 1)")
-    ps.add_argument("--n-atoms", type=int, default=None, help="boson number override (default 1000)")
-    ps.set_defaults(func=_cmd_sweep)
-
+    ps.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    ps.add_argument("--n-atoms", type=int, help="boson number (default 1000)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 for --help, 2 for bad flags
         return int(exc.code or 0)
+    # every flag but --config/--output is a config key; given flags win
+    flags = {key: value for key, value in vars(args).items()
+             if value is not None and key not in ("command", "config", "output")}
     try:
-        return args.func(args)
+        return _gate_check(flags) if args.command == "gate-check" else _run(args, flags)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - last-resort diagnostic
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

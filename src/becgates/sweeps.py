@@ -116,8 +116,8 @@ def _grid_map(cells, func, workers: int):
 def _cell_fidelity(spec: GateSpec, initial: AcsParams, n_atoms: int, overrides) -> float:
     try:
         _, f = run_gate(spec, initial, n_atoms, overrides)
-    except (ValidationError, ValueError):
-        return math.nan  # missing cell, not a crash
+    except ValidationError:
+        return math.nan  # the cell's parameters cannot be realized: a missing cell
     return f
 
 

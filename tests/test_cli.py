@@ -25,6 +25,9 @@ PARAMS_NOT = {
 }
 
 
+EVOLVE_CONFIG = {"params": PARAMS_NOT, "initial": {"theta": 0.0, "phi": 0.0}, "t": 1.0}
+
+
 def write_config(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -60,11 +63,11 @@ def test_gate_check_phase_gate(capsys):
 
 
 def test_gate_check_si_labels(capsys):
-    code, out, _ = run(capsys, "gate-check", "--gate", "not", "--g", "9424.777960769379", "--si")
+    # g = 2*pi x 1.5 kHz in rad/s gives t_gate in seconds: any consistent unit works
+    code, out, _ = run(capsys, "gate-check", "--gate", "not", "--g", "9424.777960769379")
     assert code == 0
     report = parse_report(out)
     assert float(report["t_gate"]) == pytest.approx(1.6667e-4, rel=1e-3)
-    assert "[s]" in out and "rad/s" in out
 
 
 def test_gate_check_rejects_unknown_gate(capsys):
@@ -101,6 +104,34 @@ def test_evolve_missing_time(tmp_path, capsys):
     code, _, err = run(capsys, "evolve", "--config", cfg, "--output", str(tmp_path / "s.csv"))
     assert code == 2
     assert "'t'" in err
+
+
+def test_evolve_t_flag_overrides_config(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "evolve.json",
+        {"params": PARAMS_NOT, "initial": {"theta": 0.0, "phi": 0.0}, "t": 0.0},
+    )
+    out_path = tmp_path / "state.csv"
+    t_not = 2 * math.pi / 4
+    code, _, _ = run(capsys, "evolve", "--config", cfg, "--t", str(t_not), "--output", str(out_path))
+    assert code == 0
+    # at t = 0 the state would stay at the north pole; at t_not it reaches the south pole
+    assert abs(state_from_csv(out_path.read_text()).amplitudes[10]) == pytest.approx(1.0, abs=1e-9)
+    sidecar = json.loads((tmp_path / "state.csv.meta.json").read_text())
+    assert sidecar["config"]["t"] == t_not
+
+
+def test_engine_value_error_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr("becgates.cli.evolve_oracle", broken)
+    cfg = write_config(tmp_path, "evolve.json", EVOLVE_CONFIG)
+    code, _, err = run(capsys, "evolve", "--config", cfg, "--output", str(tmp_path / "s.csv"))
+    assert code == 1
+    assert err.splitlines()[-1] == "internal error: engine fault"
+    assert not (tmp_path / "s.csv").exists()
 
 
 # -------------------------------------------------------------------- trajectory
@@ -276,6 +307,70 @@ def test_workers_flag_keeps_output_identical(tmp_path, capsys):
     assert paths[0] == paths[1]
 
 
+# --------------------------------------------------------------------- bad input
+
+BAD_INPUT_BASE = {
+    "evolve": EVOLVE_CONFIG,
+    "trajectory": {
+        "params": PARAMS_NOT,
+        "initial": {"theta": 0.0, "phi": 0.0},
+        "t_final": 1.0,
+        "n_samples": 3,
+    },
+    "sweep": {
+        "kind": "lambda-gamma",
+        "gate": "z",
+        "n_atoms": 3,
+        "lambda_values": [0.0],
+        "dgamma_ratio_values": [0.0],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command,config,flags,field",
+    [
+        ("evolve", {"t": math.nan}, [], "t"),
+        ("evolve", {"t": math.inf}, [], "t"),
+        ("evolve", {"t": True}, [], "t"),
+        ("evolve", {"t": "abc"}, [], "t"),
+        ("evolve", {"t": 10**400}, [], "t"),
+        ("trajectory", {"t_final": math.nan}, [], "t_final"),
+        ("sweep", {"detuning_factor": math.nan}, [], "detuning_factor"),
+        ("sweep", {"detuning_factor": "abc"}, [], "detuning_factor"),
+        ("sweep", {"lambda_values": [0.0, math.nan]}, [], "lambda_values[1]"),
+        (
+            "sweep",
+            {"dgamma_ratio_values": {"start": 0.0, "stop": 0.1, "num": 0}},
+            [],
+            "dgamma_ratio_values.num",
+        ),
+        ("sweep", {}, ["--workers", "0"], "workers"),
+        ("gate-check", None, ["--gate", "not", "--g", "nan"], "g"),
+        (
+            "gate-check",
+            None,
+            ["--gate", "z", "--g", "1", "--detuning-factor", "nan"],
+            "detuning_factor",
+        ),
+    ],
+    ids=[
+        "t-nan", "t-inf", "t-bool", "t-str", "t-int-overflow", "t_final-nan",
+        "detuning_factor-nan", "detuning_factor-str", "axis-nan", "axis-num-0", "workers-0",
+        "g-nan", "detuning_factor-flag-nan",
+    ],
+)
+def test_bad_input_exits_two_naming_field(tmp_path, capsys, command, config, flags, field):
+    argv = [command, *flags]
+    if config is not None:
+        path = write_config(tmp_path, "c.json", {**BAD_INPUT_BASE[command], **config})
+        argv += ["--config", path, "--output", str(tmp_path / "o.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.count("\n") == 1 and f"field '{field}'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["c.json"])
+
+
 # -------------------------------------------------------------------------- help
 
 
@@ -289,9 +384,9 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize(
     "cmd,flags",
     [
-        ("gate-check", ["--gate", "--g", "--detuning-factor", "--si"]),
-        ("evolve", ["--config", "--t", "--output", "--si"]),
-        ("trajectory", ["--config", "--output", "--si"]),
+        ("gate-check", ["--gate", "--g", "--detuning-factor"]),
+        ("evolve", ["--config", "--t", "--output"]),
+        ("trajectory", ["--config", "--output"]),
         ("sweep", ["--kind", "--gate", "--config", "--output", "--workers", "--n-atoms"]),
     ],
 )

@@ -49,6 +49,15 @@ def test_failed_cell_is_nan_not_crash():
     assert math.isnan(grid.fidelities[1, 0])
 
 
+def test_cell_programming_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("not a parameter failure")
+
+    monkeypatch.setattr("becgates.sweeps.run_gate", broken)
+    with pytest.raises(ValueError, match="not a parameter failure"):
+        sweep_lambda_gamma(GateId.NOT, [0.0], [0.0], 8, INITIAL)
+
+
 def test_each_cell_reproducible_in_isolation():
     lam, rat = [0.0, 0.004], [0.0, 0.08]
     gate = GateId.HADAMARD
