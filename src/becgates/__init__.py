@@ -12,7 +12,6 @@ from .fock import (
     bloch_vector,
 )
 from .evolve import (
-    QubitPropagator,
     qubit_propagator,
     full_propagator_analytic,
     evolve_oracle,

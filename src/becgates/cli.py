@@ -22,12 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .gates import (
     params_for_gate,
     up_to_phase_deviation,
 )
-from .params import ValidationError, derive_params, params_from_dict, params_to_dict
+from .params import ValidationError, _number, _reject, params_from_dict, params_to_dict
 from .sweeps import (
     DEFAULT_DGAMMA_RATIO_VALUES,
     DEFAULT_DDELTA_RATIO_VALUES,
@@ -82,23 +82,6 @@ def _load_config(path: str) -> dict:
 
 
 # --------------------------------------------------------- one reader per field type
-
-
-def _reject(name: str, value, expected: str) -> NoReturn:
-    if value is None:
-        raise ValidationError(f"field '{name}' is missing")
-    raise ValidationError(f"field '{name}' must be {expected}, got {value!r}")
-
-
-def _number(name: str, value, minimum: float = -math.inf, strict: bool = False) -> float:
-    """A finite number, not a bool, that is >= minimum (> minimum when strict)."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # the bound also keeps JSON integers too large for a float out
-    x = float(value) if number and abs(value) <= sys.float_info.max else math.nan
-    if not (x > minimum if strict else x >= minimum):  # NaN fails both
-        bound = "" if minimum == -math.inf else f" {'>' if strict else '>='} {minimum:g}"
-        _reject(name, value, "a finite number" + bound)
-    return x
 
 
 def _integer(name: str, value, minimum: int) -> int:
@@ -244,18 +227,35 @@ _COMMANDS = {
 }
 
 
+def _write_all(files: dict[Path, str]) -> None:
+    """Write every file or none: each goes to a temp file beside it, then all are renamed."""
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    try:
+        for path, text in files.items():
+            temps[path].write_text(text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def _run(args: argparse.Namespace, flags: dict) -> int:
     """Load the config, let the flags override it, resolve, run, write CSV and sidecar."""
+    out = Path(args.output)
+    if out.is_dir() or not out.parent.is_dir() or not os.access(out.parent, os.W_OK):
+        raise ValidationError(
+            f"field 'output': {args.output!r} is a directory, or its directory is missing "
+            "or not writable"
+        )
     config = _load_config(args.config) if args.config else {}
     resolved, provenance, run = _COMMANDS[args.command][0]({**config, **flags})
     text = run()
     sidecar = {"command": args.command, "config": resolved}
     if provenance is not None:
         sidecar["provenance"] = provenance
-    out = Path(args.output)
-    out.write_text(text)
     meta = out.with_name(out.name + ".meta.json")
-    meta.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_all({out: text, meta: json.dumps(sidecar, indent=2, sort_keys=True) + "\n"})
     return 0
 
 
@@ -264,9 +264,8 @@ def _gate_check(flags: dict) -> int:
     g = _number("g", flags.get("g"), minimum=0.0, strict=True)
     factor = _number("detuning_factor", flags.get("detuning_factor", DEFAULT_DETUNING_FACTOR))
     spec = _gate_spec(gate, g, factor)
-    p = params_for_gate(spec, 1)
-    prop = qubit_propagator(derive_params(p), p.delta, spec.t_gate)
-    dev = up_to_phase_deviation(prop.matrix, spec.target)
+    prop = qubit_propagator(params_for_gate(spec, 1), spec.t_gate)
+    dev = up_to_phase_deviation(prop, spec.target)
     print(f"gate: {gate.value}")
     print(f"t_gate: {_fmt(spec.t_gate)} [1/(unit of g)]")
     print(f"delta_g: {_fmt(spec.delta_g)} [unit of g]")

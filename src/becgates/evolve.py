@@ -18,15 +18,13 @@ three production engines share no evolution code path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import StateVector, pseudo_spin_matrices
-from .params import DerivedParams, PhysicalParams, derive_params
+from .params import PhysicalParams, derive_params
 
 __all__ = [
-    "QubitPropagator",
     "qubit_propagator",
     "full_propagator_analytic",
     "evolve_oracle",
@@ -37,33 +35,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QubitPropagator:
-    """2x2 propagator matrix plus the parameters it was built from."""
-
-    matrix: np.ndarray
-    t: float
-    delta: float
-    xi: float
-    varpi: float
-    eta: float
-
-
-def qubit_propagator(dp: DerivedParams, delta: float, t: float) -> QubitPropagator:
+def qubit_propagator(p: PhysicalParams, t: float) -> np.ndarray:
     """Analytic 2x2 propagator for evolution time t.
 
     Equivalent to the rotation product
     e^{-i eta t} Rz(delta*t) Ry(-xi) Rz(varpi*t) Ry(xi)
-    with Rz(a) = diag(e^{-ia/2}, e^{ia/2}) and Ry the real rotation matrix.
+    with Rz(a) = diag(e^{-ia/2}, e^{ia/2}) and Ry the real rotation matrix,
+    where xi, varpi and eta are derived from p.
     Half-angle factors are taken from the exact (sin_xi, cos_xi) pair so that
     the off-diagonal elements vanish identically when g = 0.
     """
     if t < 0:
         raise ValueError(f"evolution time must be >= 0, got {t!r}")
+    dp = derive_params(p)
     cos2 = 0.5 * (1.0 + dp.cos_xi)  # cos^2(xi/2)
     sin2 = 0.5 * (1.0 - dp.cos_xi)  # sin^2(xi/2)
     w = 0.5 * dp.varpi * t
-    d = 0.5 * delta * t
+    d = 0.5 * p.delta * t
     e_md = np.exp(-1j * d)
     e_mw = np.exp(-1j * w)
     e_2w = np.exp(2j * w)
@@ -71,8 +59,7 @@ def qubit_propagator(dp: DerivedParams, delta: float, t: float) -> QubitPropagat
     p12 = 1j * dp.sin_xi * math.sin(w) * e_md
     p21 = 1j * dp.sin_xi * math.sin(w) * np.conj(e_md)
     p22 = np.conj(e_md) * e_mw * (sin2 + e_2w * cos2)
-    matrix = np.exp(-1j * dp.eta * t) * np.array([[p11, p12], [p21, p22]])
-    return QubitPropagator(matrix=matrix, t=t, delta=delta, xi=dp.xi, varpi=dp.varpi, eta=dp.eta)
+    return np.exp(-1j * dp.eta * t) * np.array([[p11, p12], [p21, p22]])
 
 
 def full_propagator_analytic(p: PhysicalParams, t: float, *, lambda_atol: float = 1e-12) -> np.ndarray:
@@ -112,13 +99,8 @@ def full_propagator_analytic(p: PhysicalParams, t: float, *, lambda_atol: float 
     return u_diag[:, None] * core
 
 
-def rotating_frame_hamiltonian(p: PhysicalParams) -> np.ndarray:
-    """Time-independent rotating-frame Hamiltonian as a dense Hermitian matrix.
-
-    H_U = (omega_a - gamma_a) n_a + (omega_b - gamma_b) n_b + gamma_a n_a^2
-        + gamma_b n_b^2 + 2 gamma_ab n_a n_b - g (a'b + ab')
-        - (delta/2)(n_a - n_b)
-    """
+def _bands(p: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of H_U without its detuning term, and the off-diagonal over g."""
     n = p.n_atoms
     k = np.arange(n + 1)
     na = n - k
@@ -129,13 +111,23 @@ def rotating_frame_hamiltonian(p: PhysicalParams) -> np.ndarray:
         + p.gamma_a * na**2
         + p.gamma_b * nb**2
         + 2.0 * p.gamma_ab * na * nb
-        - 0.5 * p.delta * (na - nb)
     )
-    h = np.diag(diag.astype(complex))
     kk = np.arange(n)
-    off = -p.g * np.sqrt((n - kk) * (kk + 1.0))
-    h[kk, kk + 1] = off
-    h[kk + 1, kk] = off
+    return diag, np.sqrt((n - kk) * (kk + 1.0))
+
+
+def rotating_frame_hamiltonian(p: PhysicalParams) -> np.ndarray:
+    """Time-independent rotating-frame Hamiltonian as a dense Hermitian matrix.
+
+    H_U = (omega_a - gamma_a) n_a + (omega_b - gamma_b) n_b + gamma_a n_a^2
+        + gamma_b n_b^2 + 2 gamma_ab n_a n_b - g (a'b + ab')
+        - (delta/2)(n_a - n_b)
+    """
+    diag, off = _bands(p)
+    n = p.n_atoms
+    h = np.diag((diag - 0.5 * p.delta * (n - 2 * np.arange(n + 1))).astype(complex))
+    kk = np.arange(n)
+    h[kk, kk + 1] = h[kk + 1, kk] = -p.g * off
     return h
 
 
@@ -145,19 +137,7 @@ def spectral_radius_bound(p: PhysicalParams) -> float:
     Used to validate RK4 step sizes: steps should satisfy
     dt * spectral_radius_bound(p) < 0.1.
     """
-    n = p.n_atoms
-    k = np.arange(n + 1)
-    na = n - k
-    nb = k
-    diag = (
-        (p.omega_a - p.gamma_a) * na
-        + (p.omega_b - p.gamma_b) * nb
-        + p.gamma_a * na**2
-        + p.gamma_b * nb**2
-        + 2.0 * p.gamma_ab * na * nb
-    )
-    kk = np.arange(n)
-    off = np.sqrt((n - kk) * (kk + 1.0))
+    diag, off = _bands(p)
     return float(np.max(np.abs(diag))) + 2.0 * p.g * float(np.max(off, initial=0.0))
 
 

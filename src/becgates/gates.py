@@ -4,17 +4,10 @@ Transfer-population gates (NOT, Y, Hadamard) invert population between the
 two modes; phase gates (Z, S, T) imprint a relative phase with population
 transfer suppressed by a strong two-photon detuning.  Gate conditions pin
 the detuning ``delta_g``, the frequency-scattering detuning ``gamma_g`` and
-the evolution time ``t_gate`` relative to the coupling g:
-
-    NOT:  t = 2*pi/delta,   delta = 4g,          gamma = 4g
-    Y:    t = pi/delta,     delta = 2g,          gamma = 2g
-    H:    t = 2*pi/delta,   delta = (8/sqrt2)g,  gamma = -2g + delta
-    Z:    t = pi/(2*delta), delta = k*g,         gamma = -2*delta
-    S:    t = 3*pi/(2*delta), delta = k*g,       gamma = delta/3
-    T:    t = pi/(2*delta), delta = k*g,         gamma = delta/2
-
-where the phase-gate detuning factor k must be large for the conditions to
-hold (they are asymptotic in g/delta).
+the evolution time ``t_gate`` relative to the coupling g; the condition
+table ``_TABLE`` below holds them, with each gate's target matrix.  Phase
+gates take delta_g = k*g, where the detuning factor k must be large for the
+conditions to hold (they are asymptotic in g/delta).
 """
 
 from __future__ import annotations
@@ -23,7 +16,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,13 +31,11 @@ __all__ = [
     "PHASE_GATES",
     "gate_conditions",
     "target_matrix",
-    "gate_coupling",
     "params_for_gate",
     "fidelity",
     "run_gate",
     "up_to_phase_deviation",
     "gate_spec_to_dict",
-    "gate_spec_from_dict",
 ]
 
 
@@ -57,8 +48,33 @@ class GateId(enum.Enum):
     T = "t"
 
 
-TRANSFER_GATES = frozenset({GateId.NOT, GateId.Y, GateId.HADAMARD})
-PHASE_GATES = frozenset({GateId.Z, GateId.S, GateId.T})
+class _Conditions(NamedTuple):
+    target: np.ndarray
+    delta_per_g: float | None  # None for a phase gate: delta_g = detuning_factor * g
+    gamma_g: Callable[[float, float], float]  # of (g, delta_g)
+    t_gate: Callable[[float, float], float]  # of (g, delta_g)
+
+
+# Each expression keeps its operation order, so that the conditions stay
+# bitwise reproducible (delta/3 is not delta*(1/3)).
+_TABLE = {
+    GateId.NOT: _Conditions(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), 4.0,
+                            lambda g, d: 4.0 * g, lambda g, d: 2.0 * math.pi / d),
+    GateId.Y: _Conditions(np.array([[0.0, -1j], [1j, 0.0]]), 2.0,
+                          lambda g, d: 2.0 * g, lambda g, d: math.pi / d),
+    GateId.HADAMARD: _Conditions(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
+                                 8.0 / math.sqrt(2.0),
+                                 lambda g, d: -2.0 * g + d, lambda g, d: 2.0 * math.pi / d),
+    GateId.Z: _Conditions(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex), None,
+                          lambda g, d: -2.0 * d, lambda g, d: math.pi / (2.0 * d)),
+    GateId.S: _Conditions(np.array([[1.0, 0.0], [0.0, 1j]]), None,
+                          lambda g, d: d / 3.0, lambda g, d: 3.0 * math.pi / (2.0 * d)),
+    GateId.T: _Conditions(np.array([[1.0, 0.0], [0.0, cmath.exp(1j * math.pi / 4.0)]]), None,
+                          lambda g, d: d / 2.0, lambda g, d: math.pi / (2.0 * d)),
+}
+
+TRANSFER_GATES = frozenset(gate for gate, row in _TABLE.items() if row.delta_per_g is not None)
+PHASE_GATES = frozenset(_TABLE) - TRANSFER_GATES
 
 MIN_DETUNING_FACTOR = 25.0
 DEFAULT_DETUNING_FACTOR = 100.0
@@ -66,42 +82,31 @@ DEFAULT_DETUNING_FACTOR = 100.0
 
 @dataclass(frozen=True)
 class GateSpec:
-    """Concrete physical conditions realizing one gate.
+    """Concrete physical conditions realizing one gate at coupling g.
 
     detuning_factor is delta_g/g for phase gates and None for transfer gates.
     """
 
     gate: GateId
+    g: float
     t_gate: float
     delta_g: float
     gamma_g: float
-    target: np.ndarray
     detuning_factor: float | None = None
 
     def __post_init__(self) -> None:
         if self.t_gate <= 0:
             raise ValueError(f"t_gate must be > 0, got {self.t_gate!r}")
-        tgt = np.asarray(self.target, dtype=complex)
-        if tgt.shape != (2, 2):
-            raise ValueError(f"target must be a 2x2 matrix, got shape {tgt.shape}")
-        if np.max(np.abs(tgt.conj().T @ tgt - np.eye(2))) > 1e-14:
-            raise ValueError("target matrix must be unitary within 1e-14")
-        object.__setattr__(self, "target", tgt)
+
+    @property
+    def target(self) -> np.ndarray:
+        """The gate's standard 2x2 matrix."""
+        return target_matrix(self.gate)
 
 
 def target_matrix(gate: GateId) -> np.ndarray:
     """Standard 2x2 matrix of a gate; phase gates are diag(1, e^{i phi})."""
-    if gate is GateId.NOT:
-        return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    if gate is GateId.Y:
-        return np.array([[0.0, -1j], [1j, 0.0]])
-    if gate is GateId.HADAMARD:
-        return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-    if gate is GateId.Z:
-        return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    if gate is GateId.S:
-        return np.array([[1.0, 0.0], [0.0, 1j]])
-    return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * math.pi / 4.0)]])
+    return _TABLE[gate].target.copy()
 
 
 def gate_conditions(
@@ -115,63 +120,19 @@ def gate_conditions(
     """
     if g <= 0:
         raise ValueError(f"coupling g must be > 0, got {g!r}")
-    if gate in TRANSFER_GATES:
-        if gate is GateId.NOT:
-            delta = 4.0 * g
-            gamma = 4.0 * g
-            t = 2.0 * math.pi / delta
-        elif gate is GateId.Y:
-            delta = 2.0 * g
-            gamma = 2.0 * g
-            t = math.pi / delta
-        else:  # HADAMARD
-            delta = (8.0 / math.sqrt(2.0)) * g
-            gamma = -2.0 * g + delta
-            t = 2.0 * math.pi / delta
-        return GateSpec(
-            gate=gate, t_gate=t, delta_g=delta, gamma_g=gamma, target=target_matrix(gate)
-        )
-
-    if detuning_factor < MIN_DETUNING_FACTOR:
+    row = _TABLE[gate]
+    factor = float(detuning_factor) if row.delta_per_g is None else None
+    if factor is not None and factor < MIN_DETUNING_FACTOR:
         raise ValueError(
             f"detuning_factor must be >= {MIN_DETUNING_FACTOR} for phase gates: their "
             "conditions hold only asymptotically for delta_g much larger than the "
             f"coupling g, got detuning_factor = {detuning_factor!r}"
         )
-    delta = detuning_factor * g
-    if gate is GateId.Z:
-        gamma = -2.0 * delta
-        t = math.pi / (2.0 * delta)
-    elif gate is GateId.S:
-        gamma = delta / 3.0
-        t = 3.0 * math.pi / (2.0 * delta)
-    else:  # T
-        gamma = delta / 2.0
-        t = math.pi / (2.0 * delta)
-    return GateSpec(
-        gate=gate,
-        t_gate=t,
-        delta_g=delta,
-        gamma_g=gamma,
-        target=target_matrix(gate),
-        detuning_factor=float(detuning_factor),
-    )
+    delta = (row.delta_per_g or factor) * g
+    return GateSpec(gate, g, row.t_gate(g, delta), delta, row.gamma_g(g, delta), factor)
 
 
-def gate_coupling(spec: GateSpec) -> float:
-    """Coupling g recovered from a GateSpec (the conditions fix delta_g/g)."""
-    if spec.gate is GateId.NOT:
-        return spec.delta_g / 4.0
-    if spec.gate is GateId.Y:
-        return spec.delta_g / 2.0
-    if spec.gate is GateId.HADAMARD:
-        return spec.delta_g * math.sqrt(2.0) / 8.0
-    if spec.detuning_factor is None:
-        raise ValueError("phase-gate GateSpec is missing detuning_factor")
-    return spec.delta_g / spec.detuning_factor
-
-
-_OVERRIDE_KEYS = frozenset({"gamma_ab", "omega_ab", "delta", "omega_shift"})
+_OVERRIDE_KEYS = frozenset({"gamma_ab", "omega_ab", "delta"})
 
 
 def params_for_gate(
@@ -185,23 +146,19 @@ def params_for_gate(
 
     - "gamma_ab": inter-species collision strength (lambda_nl = -gamma_ab/2),
     - "omega_ab": replaces the trap-frequency difference (shifts gamma_fs),
-    - "delta": replaces the two-photon detuning,
-    - "omega_shift": adds a constant to both trap frequencies (global phase
-      only; provided for invariance checks).
+    - "delta": replaces the two-photon detuning.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - _OVERRIDE_KEYS
     if unknown:
         raise ValueError(f"unknown override field '{sorted(unknown)[0]}'")
-    omega_ab = overrides.get("omega_ab", spec.gamma_g)
-    shift = overrides.get("omega_shift", 0.0)
     return PhysicalParams(
-        omega_a=omega_ab + shift,
-        omega_b=shift,
+        omega_a=overrides.get("omega_ab", spec.gamma_g),
+        omega_b=0.0,
         gamma_a=0.0,
         gamma_b=0.0,
         gamma_ab=overrides.get("gamma_ab", 0.0),
-        g=gate_coupling(spec),
+        g=spec.g,
         delta=overrides.get("delta", spec.delta_g),
         n_atoms=n_atoms,
     )
@@ -267,22 +224,3 @@ def gate_spec_to_dict(spec: GateSpec) -> dict:
         "gamma_g": spec.gamma_g,
         "detuning_factor": spec.detuning_factor,
     }
-
-
-def gate_spec_from_dict(data: Mapping) -> GateSpec:
-    try:
-        gate = GateId(data["gate"])
-    except (KeyError, ValueError):
-        raise ValueError(f"field 'gate' must be one of {[g.value for g in GateId]}") from None
-    for key in ("t_gate", "delta_g", "gamma_g"):
-        if key not in data:
-            raise ValueError(f"field '{key}' is missing from gate spec")
-    factor = data.get("detuning_factor")
-    return GateSpec(
-        gate=gate,
-        t_gate=float(data["t_gate"]),
-        delta_g=float(data["delta_g"]),
-        gamma_g=float(data["gamma_g"]),
-        target=target_matrix(gate),
-        detuning_factor=None if factor is None else float(factor),
-    )

@@ -10,7 +10,9 @@ the sweep and CLI layers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 __all__ = [
     "ValidationError",
@@ -35,6 +37,23 @@ PARAM_FIELDS = (
 
 class ValidationError(ValueError):
     """Raised when an input parameter set fails validation."""
+
+
+def _reject(name: str, value, expected: str) -> NoReturn:
+    if value is None:
+        raise ValidationError(f"field '{name}' is missing")
+    raise ValidationError(f"field '{name}' must be {expected}, got {value!r}")
+
+
+def _number(name: str, value, minimum: float = -math.inf, strict: bool = False) -> float:
+    """A finite number, not a bool, that is >= minimum (> minimum when strict)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # the bound also keeps JSON integers too large for a float out
+    x = float(value) if number and abs(value) <= sys.float_info.max else math.nan
+    if not (x > minimum if strict else x >= minimum):  # NaN fails both
+        bound = "" if minimum == -math.inf else f" {'>' if strict else '>='} {minimum:g}"
+        _reject(name, value, "a finite number" + bound)
+    return x
 
 
 @dataclass(frozen=True)
@@ -147,12 +166,7 @@ def params_from_dict(data: dict) -> PhysicalParams:
     extra = [k for k in data if k not in PARAM_FIELDS]
     if extra:
         raise ValidationError(f"field '{extra[0]}' is not a recognized parameter")
-    kwargs = {}
-    for name in PARAM_FIELDS[:-1]:
-        value = data[name]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"field '{name}' must be a number, got {value!r}")
-        kwargs[name] = float(value)
+    kwargs = {name: _number(name, data[name]) for name in PARAM_FIELDS[:-1]}
     n = data["n_atoms"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValidationError(f"field 'n_atoms' must be an integer, got {n!r}")

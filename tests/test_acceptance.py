@@ -40,7 +40,7 @@ from becgates.gates import (
     params_for_gate,
     up_to_phase_deviation,
 )
-from becgates.params import PhysicalParams, derive_params
+from becgates.params import PhysicalParams
 from becgates.sweeps import sweep_delta, sweep_lambda_gamma
 
 FIG_INITIAL = AcsParams(theta=math.pi / 8, phi=0.0)
@@ -58,9 +58,7 @@ def criterion(num, name):
 
 
 def ideal_propagator(spec):
-    p = params_for_gate(spec, 1)
-    dp = derive_params(p)
-    return qubit_propagator(dp, p.delta, spec.t_gate).matrix
+    return qubit_propagator(params_for_gate(spec, 1), spec.t_gate)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ def _qubit_fidelity(gate, ratio):
     worst = math.inf
     for sign in (1.0, -1.0):
         p = params_for_gate(spec, 1, {"delta": spec.delta_g * (1.0 + sign * ratio)})
-        u = qubit_propagator(derive_params(p), p.delta, spec.t_gate).matrix
+        u = qubit_propagator(p, spec.t_gate)
         worst = min(worst, abs(np.vdot(target, u @ spinor)) ** 2)
     return worst
 

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -335,6 +336,9 @@ BAD_INPUT_BASE = {
         ("evolve", {"t": True}, [], "t"),
         ("evolve", {"t": "abc"}, [], "t"),
         ("evolve", {"t": 10**400}, [], "t"),
+        ("evolve", {"params": {**PARAMS_NOT, "omega_a": 10**400}}, [], "omega_a"),
+        ("trajectory", {}, ["--output", "/nonexistent/dir/x.csv"], "output"),
+        ("trajectory", {}, ["--output", "."], "output"),
         ("trajectory", {"t_final": math.nan}, [], "t_final"),
         ("sweep", {"detuning_factor": math.nan}, [], "detuning_factor"),
         ("sweep", {"detuning_factor": "abc"}, [], "detuning_factor"),
@@ -355,20 +359,36 @@ BAD_INPUT_BASE = {
         ),
     ],
     ids=[
-        "t-nan", "t-inf", "t-bool", "t-str", "t-int-overflow", "t_final-nan",
+        "t-nan", "t-inf", "t-bool", "t-str", "t-int-overflow", "param-int-overflow",
+        "output-dir-missing", "output-is-dir", "t_final-nan",
         "detuning_factor-nan", "detuning_factor-str", "axis-nan", "axis-num-0", "workers-0",
         "g-nan", "detuning_factor-flag-nan",
     ],
 )
 def test_bad_input_exits_two_naming_field(tmp_path, capsys, command, config, flags, field):
-    argv = [command, *flags]
+    argv = [command]
     if config is not None:
         path = write_config(tmp_path, "c.json", {**BAD_INPUT_BASE[command], **config})
         argv += ["--config", path, "--output", str(tmp_path / "o.csv")]
-    code, _, err = run(capsys, *argv)
+    code, _, err = run(capsys, *argv, *flags)  # a later --output wins
     assert code == 2
     assert err.count("\n") == 1 and f"field '{field}'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["c.json"])
+
+
+def test_failed_write_leaves_neither_file(tmp_path, capsys, monkeypatch):
+    write_text = pathlib.Path.write_text
+
+    def fail_on_sidecar(path, text):
+        if ".meta.json" in path.name:
+            raise OSError("disk full")
+        return write_text(path, text)
+
+    cfg = write_config(tmp_path, "c.json", BAD_INPUT_BASE["trajectory"])
+    monkeypatch.setattr(pathlib.Path, "write_text", fail_on_sidecar)
+    code, _, err = run(capsys, "trajectory", "--config", cfg, "--output", str(tmp_path / "o.csv"))
+    assert code == 1 and "internal error: disk full" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 # -------------------------------------------------------------------------- help

@@ -74,8 +74,7 @@ def test_qubit_propagator_unitary():
     rng = np.random.default_rng(21)
     for _ in range(50):
         p = random_any_lambda(rng, 1)
-        dp = derive_params(p)
-        u = qubit_propagator(dp, p.delta, rng.uniform(0, 10)).matrix
+        u = qubit_propagator(p, rng.uniform(0, 10))
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
@@ -85,7 +84,7 @@ def test_qubit_propagator_matches_rotation_product():
         p = random_any_lambda(rng, 1)
         dp = derive_params(p)
         t = rng.uniform(0, 10)
-        u = qubit_propagator(dp, p.delta, t).matrix
+        u = qubit_propagator(p, t)
         ref = (
             np.exp(-1j * dp.eta * t)
             * rz(p.delta * t) @ ry(-dp.xi) @ rz(dp.varpi * t) @ ry(dp.xi)
@@ -96,8 +95,7 @@ def test_qubit_propagator_matches_rotation_product():
 def test_uncoupled_has_exactly_zero_transfer():
     for delta in (-1.5, 1.5):  # both xi = 0 and xi = pi branches
         p = make_params(g=0.0, delta=delta)
-        dp = derive_params(p)
-        u = qubit_propagator(dp, p.delta, 2.7).matrix
+        u = qubit_propagator(p, 2.7)
         assert u[0, 1] == 0.0
         assert u[1, 0] == 0.0
 
@@ -105,8 +103,7 @@ def test_uncoupled_has_exactly_zero_transfer():
 def test_not_conditions_full_transfer():
     spec = gate_conditions(GateId.NOT, 1.0)
     p = params_for_gate(spec, 1)
-    dp = derive_params(p)
-    u = qubit_propagator(dp, p.delta, spec.t_gate).matrix
+    u = qubit_propagator(p, spec.t_gate)
     assert abs(u[0, 1]) == pytest.approx(1.0, abs=1e-12)
     assert abs(u[1, 0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(u[0, 0]) < 1e-12
@@ -116,8 +113,7 @@ def test_not_conditions_full_transfer():
 def test_hadamard_conditions_up_to_phase():
     spec = gate_conditions(GateId.HADAMARD, 1.0)
     p = params_for_gate(spec, 1)
-    dp = derive_params(p)
-    u = qubit_propagator(dp, p.delta, spec.t_gate).matrix
+    u = qubit_propagator(p, spec.t_gate)
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     assert up_to_phase_deviation(u, h) < 1e-10
 
@@ -126,9 +122,8 @@ def test_propagator_composition_matches_oracle():
     rng = np.random.default_rng(29)
     for _ in range(10):
         p = random_zero_lambda(rng, 1)
-        dp = derive_params(p)
         t1, t2 = rng.uniform(0.2, 2.0, size=2)
-        u = qubit_propagator(dp, p.delta, t1 + t2).matrix
+        u = qubit_propagator(p, t1 + t2)
         s0 = acs_state(AcsParams(theta=rng.uniform(0.3, 2.8), phi=rng.uniform(0, 6.2)), 1)
         ref = evolve_oracle(p, s0, t1 + t2).amplitudes
         assert np.max(np.abs(u @ s0.amplitudes - ref)) < 1e-10
@@ -136,9 +131,8 @@ def test_propagator_composition_matches_oracle():
 
 def test_negative_time_rejected():
     p = make_params()
-    dp = derive_params(p)
     with pytest.raises(ValueError, match=">= 0"):
-        qubit_propagator(dp, p.delta, -1.0)
+        qubit_propagator(p, -1.0)
 
 
 # ------------------------------------------------------- full analytic propagator
@@ -160,10 +154,9 @@ def test_analytic_single_boson_equals_qubit_propagator():
     rng = np.random.default_rng(31)
     for _ in range(20):
         p = random_zero_lambda(rng, 1)
-        dp = derive_params(p)
         t = rng.uniform(0, 5)
         u_full = full_propagator_analytic(p, t)
-        u_2x2 = qubit_propagator(dp, p.delta, t).matrix
+        u_2x2 = qubit_propagator(p, t)
         assert np.max(np.abs(u_full - u_2x2)) < 1e-12
 
 
@@ -181,13 +174,12 @@ def test_analytic_maps_acs_to_rotated_acs():
     for _ in range(10):
         n = int(rng.integers(2, 51))
         p = random_zero_lambda(rng, n)
-        dp = derive_params(p)
         t = rng.uniform(0.2, 4.0)
         theta, phi = rng.uniform(0.2, 2.9), rng.uniform(0, 2 * math.pi)
         s0 = acs_state(AcsParams(theta=theta, phi=phi), n)
         evolved = full_propagator_analytic(p, t) @ s0.amplitudes
         spinor = np.array([math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)])
-        alpha, beta = qubit_propagator(dp, p.delta, t).matrix @ spinor
+        alpha, beta = qubit_propagator(p, t) @ spinor
         from becgates.fock import acs_from_spinor
 
         expected = acs_from_spinor(alpha, beta, n).amplitudes
