@@ -35,8 +35,8 @@ from .evolve import evolve_oracle, qubit_propagator
 from .fock import AcsParams, acs_state, state_to_csv
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
+    MIN_DETUNING_FACTOR,
     GateId,
-    GateSpec,
     PHASE_GATES,
     TRANSFER_GATES,
     gate_conditions,
@@ -126,13 +126,6 @@ def _gate(value) -> GateId:
     return GateId(value.lower())
 
 
-def _gate_spec(gate: GateId, g: float, detuning_factor: float) -> GateSpec:
-    try:
-        return gate_conditions(gate, g, detuning_factor)
-    except ValueError as exc:  # g and the factor are finite and g > 0: the factor is too small
-        raise ValidationError(f"field 'detuning_factor': {exc}") from None
-
-
 # ----------------------------------------------- resolve: config -> (config, provenance, run)
 
 
@@ -178,7 +171,10 @@ def _resolve_sweep(cfg: dict):
         factor = resolved["detuning_factor"] = _number(
             "detuning_factor", cfg.get("detuning_factor", DEFAULT_DETUNING_FACTOR)
         )
-        spec = _gate_spec(gate, 1.0, factor)
+        try:
+            spec = gate_conditions(gate, 1.0, factor)
+        except ValueError as exc:  # g = 1 is valid: the factor is too small or too large
+            raise ValidationError(f"field 'detuning_factor': {exc}") from None
         sweep = partial(
             sweep_lambda_gamma, gate, axis("lambda_values", DEFAULT_LAMBDA_VALUES),
             axis("dgamma_ratio_values", DEFAULT_DGAMMA_RATIO_VALUES), detuning_factor=factor,
@@ -262,8 +258,12 @@ def _run(args: argparse.Namespace, flags: dict) -> int:
 def _gate_check(flags: dict) -> int:
     gate = _gate(flags.get("gate"))
     g = _number("g", flags.get("g"), minimum=0.0, strict=True)
-    factor = _number("detuning_factor", flags.get("detuning_factor", DEFAULT_DETUNING_FACTOR))
-    spec = _gate_spec(gate, g, factor)
+    factor = _number("detuning_factor", flags.get("detuning_factor", DEFAULT_DETUNING_FACTOR),
+                     minimum=MIN_DETUNING_FACTOR if gate in PHASE_GATES else -math.inf)
+    try:
+        spec = gate_conditions(gate, g, factor)
+    except ValueError as exc:  # g > 0 and the factor is in range: g is too small or too large
+        raise ValidationError(f"field 'g': {exc}") from None
     prop = qubit_propagator(params_for_gate(spec, 1), spec.t_gate)
     dev = up_to_phase_deviation(prop, spec.target)
     print(f"gate: {gate.value}")

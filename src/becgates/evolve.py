@@ -7,8 +7,8 @@ Three independent routes compute the same dynamics:
 * :func:`full_propagator_analytic` -- the analytic (N+1)-dimensional
   propagator U(t) V exp(-i H_V t) V', exact when the nonlinear parameter
   vanishes.
-* :func:`evolve_oracle` -- exact eigendecomposition of the time-independent
-  rotating-frame Hamiltonian, valid for any nonlinearity.
+* :func:`evolve_oracle` -- exact eigendecomposition of the time-independent,
+  real symmetric rotating-frame Hamiltonian H_U, valid for any nonlinearity.
 
 :func:`evolve_rk4` integrates the original explicitly time-dependent
 Hamiltonian and serves as an independent cross-check of the oracle; the
@@ -18,6 +18,7 @@ three production engines share no evolution code path.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -99,12 +100,17 @@ def full_propagator_analytic(p: PhysicalParams, t: float, *, lambda_atol: float 
     return u_diag[:, None] * core
 
 
-def _bands(p: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of H_U without its detuning term, and the off-diagonal over g."""
+def rotating_frame_hamiltonian(p: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """Rotating-frame Hamiltonian as its (diagonal, off-diagonal), both real.
+
+    H_U = (omega_a - gamma_a) n_a + (omega_b - gamma_b) n_b + gamma_a n_a^2
+        + gamma_b n_b^2 + 2 gamma_ab n_a n_b - g (a'b + ab')
+        - (delta/2)(n_a - n_b)
+    conserves N: in the Fock basis |N - k, k> it is real symmetric tridiagonal.
+    """
     n = p.n_atoms
-    k = np.arange(n + 1)
-    na = n - k
-    nb = k
+    na = n - np.arange(n + 1)
+    nb = n - na
     diag = (
         (p.omega_a - p.gamma_a) * na
         + (p.omega_b - p.gamma_b) * nb
@@ -112,33 +118,17 @@ def _bands(p: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
         + p.gamma_b * nb**2
         + 2.0 * p.gamma_ab * na * nb
     )
-    kk = np.arange(n)
-    return diag, np.sqrt((n - kk) * (kk + 1.0))
-
-
-def rotating_frame_hamiltonian(p: PhysicalParams) -> np.ndarray:
-    """Time-independent rotating-frame Hamiltonian as a dense Hermitian matrix.
-
-    H_U = (omega_a - gamma_a) n_a + (omega_b - gamma_b) n_b + gamma_a n_a^2
-        + gamma_b n_b^2 + 2 gamma_ab n_a n_b - g (a'b + ab')
-        - (delta/2)(n_a - n_b)
-    """
-    diag, off = _bands(p)
-    n = p.n_atoms
-    h = np.diag((diag - 0.5 * p.delta * (n - 2 * np.arange(n + 1))).astype(complex))
-    kk = np.arange(n)
-    h[kk, kk + 1] = h[kk + 1, kk] = -p.g * off
-    return h
+    return diag - 0.5 * p.delta * (na - nb), -p.g * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
 
 
 def spectral_radius_bound(p: PhysicalParams) -> float:
-    """Cheap upper estimate of the Hamiltonian spectral radius.
+    """Cheap upper estimate of the spectral radius of RK4's Hamiltonian.
 
-    Used to validate RK4 step sizes: steps should satisfy
-    dt * spectral_radius_bound(p) < 0.1.
+    That is H_U at delta = 0 with unit-modulus phases on its off-diagonal;
+    RK4 steps should satisfy dt * spectral_radius_bound(p) < 0.1.
     """
-    diag, off = _bands(p)
-    return float(np.max(np.abs(diag))) + 2.0 * p.g * float(np.max(off, initial=0.0))
+    diag, off = rotating_frame_hamiltonian(replace(p, delta=0.0))
+    return float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0))
 
 
 def _check_state(p: PhysicalParams, s0: StateVector) -> None:
@@ -156,7 +146,7 @@ def evolve_oracle(p: PhysicalParams, s0: StateVector, t: float) -> StateVector:
 
     Returns U(t) exp(-i H_U t) s0 where H_U is the rotating-frame Hamiltonian
     and U(t) = exp(-i delta t (n_a - n_b)/2) restores the lab frame.  The
-    matrix exponential is computed by eigendecomposition of the Hermitian H_U.
+    matrix exponential is computed by eigendecomposition of the real symmetric H_U.
     """
     return evolve_oracle_at_times(p, s0, [t])[0]
 
@@ -164,17 +154,21 @@ def evolve_oracle(p: PhysicalParams, s0: StateVector, t: float) -> StateVector:
 def evolve_oracle_at_times(p: PhysicalParams, s0: StateVector, times) -> list[StateVector]:
     """Oracle evolution sampled at several times with one eigendecomposition."""
     _check_state(p, s0)
-    h = rotating_frame_hamiltonian(p)
-    evals, evecs = np.linalg.eigh(h)
-    coeffs = evecs.conj().T @ s0.amplitudes
+    diag, off = rotating_frame_hamiltonian(p)
     n = p.n_atoms
+    h = np.diag(diag)
+    kk = np.arange(n)
+    h[kk, kk + 1] = h[kk + 1, kk] = off
+    evals, evecs = np.linalg.eigh(h)
+    coeffs = evecs.T @ s0.amplitudes
     dn = n - 2.0 * np.arange(n + 1)
     out = []
     for t in times:
         if t < 0:
             raise ValueError(f"evolution time must be >= 0, got {t!r}")
-        psi = evecs @ (np.exp(-1j * evals * t) * coeffs)
-        psi = np.exp(-0.5j * p.delta * t * dn) * psi
+        c = np.exp(-1j * evals * t) * coeffs
+        # real and imaginary parts apart: a complex operand would upcast evecs each time
+        psi = np.exp(-0.5j * p.delta * t * dn) * (evecs @ c.real + 1j * (evecs @ c.imag))
         out.append(StateVector(n_atoms=n, amplitudes=psi))
     return out
 

@@ -116,7 +116,8 @@ def gate_conditions(
 
     For phase gates detuning_factor = delta_g/g must be >= 25 so that the
     asymptotic strong-detuning conditions are meaningfully satisfied; it is
-    ignored for transfer gates.
+    ignored for transfer gates.  Raises ValueError on g <= 0, on a small
+    factor, and when delta_g, gamma_g or t_gate is out of floating-point range.
     """
     if g <= 0:
         raise ValueError(f"coupling g must be > 0, got {g!r}")
@@ -129,7 +130,11 @@ def gate_conditions(
             f"coupling g, got detuning_factor = {detuning_factor!r}"
         )
     delta = (row.delta_per_g or factor) * g
-    return GateSpec(gate, g, row.t_gate(g, delta), delta, row.gamma_g(g, delta), factor)
+    t_gate, gamma_g = row.t_gate(g, delta), row.gamma_g(g, delta)
+    if not (math.isfinite(delta) and math.isfinite(gamma_g) and 0.0 < t_gate < math.inf):
+        raise ValueError(f"gate conditions out of floating-point range: delta_g = {delta!r}, "
+                         f"gamma_g = {gamma_g!r}, t_gate = {t_gate!r}")
+    return GateSpec(gate, g, t_gate, delta, gamma_g, factor)
 
 
 _OVERRIDE_KEYS = frozenset({"gamma_ab", "omega_ab", "delta"})

@@ -357,12 +357,18 @@ BAD_INPUT_BASE = {
             ["--gate", "z", "--g", "1", "--detuning-factor", "nan"],
             "detuning_factor",
         ),
+        # the gate conditions overflow (delta_g = inf, t_gate = 0) or underflow (t_gate = inf)
+        ("gate-check", None, ["--gate", "not", "--g", "1e308"], "g"),
+        ("gate-check", None, ["--gate", "not", "--g", "1e-320"], "g"),
+        ("gate-check", None, ["--gate", "z", "--g", "1e-320"], "g"),
+        ("sweep", {"detuning_factor": 1e308}, [], "detuning_factor"),
     ],
     ids=[
         "t-nan", "t-inf", "t-bool", "t-str", "t-int-overflow", "param-int-overflow",
         "output-dir-missing", "output-is-dir", "t_final-nan",
         "detuning_factor-nan", "detuning_factor-str", "axis-nan", "axis-num-0", "workers-0",
         "g-nan", "detuning_factor-flag-nan",
+        "g-overflow", "g-subnormal", "g-subnormal-phase-gate", "detuning_factor-overflow",
     ],
 )
 def test_bad_input_exits_two_naming_field(tmp_path, capsys, command, config, flags, field):

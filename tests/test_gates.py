@@ -75,6 +75,16 @@ def test_detuning_factor_floor():
     assert spec.delta_g == 4.0
 
 
+@pytest.mark.parametrize(
+    "gate,g,factor",
+    [(GateId.NOT, 1e308, 100.0), (GateId.NOT, 1e-320, 100.0), (GateId.Z, 1e-320, 100.0),
+     (GateId.Z, 1.0, 1e308), (GateId.S, 1.0, 1e308)],
+)
+def test_gate_conditions_out_of_float_range_rejected(gate, g, factor):
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        gate_conditions(gate, g, factor)
+
+
 def test_gate_times_at_chip_coupling():
     # g = 2*pi*1.5 kHz: t_NOT = t_Y = 0.1667 ms, t_H = 0.1179 ms
     g = 2 * math.pi * 1500.0

@@ -1,0 +1,157 @@
+"""Differential property tests of the eigen-oracle against the other engines.
+
+Hypothesis draws parameter sets with N <= 32; ``derandomize`` makes every
+run test the same examples.  A 50-digit mpmath matrix exponential of the
+dense H_U anchors the oracle absolutely for N <= 4, so "agree" does not rest
+on the engines' mutual consistency alone.
+"""
+
+import math
+from dataclasses import replace
+
+import mpmath
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from becgates.evolve import (
+    evolve_oracle,
+    evolve_oracle_at_times,
+    evolve_rk4,
+    full_propagator_analytic,
+    qubit_propagator,
+    rotating_frame_hamiltonian,
+    spectral_radius_bound,
+)
+from becgates.fock import AcsParams, acs_state, pseudo_spin_matrices
+from becgates.params import PhysicalParams, derive_params
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+frequencies = st.floats(-2.0, 2.0)
+collisions = st.floats(-0.05, 0.05)
+times = st.floats(0.0, 4.0)
+states = st.builds(
+    AcsParams, theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+)
+
+
+@st.composite
+def params(draw, n_max=32, zero_lambda=False):
+    if zero_lambda:  # (c + c - 2c)/4 is exactly 0
+        gamma_a = gamma_b = gamma_ab = draw(collisions)
+    else:
+        gamma_a, gamma_b, gamma_ab = draw(collisions), draw(collisions), draw(collisions)
+    return PhysicalParams(
+        omega_a=draw(frequencies),
+        omega_b=draw(frequencies),
+        gamma_a=gamma_a,
+        gamma_b=gamma_b,
+        gamma_ab=gamma_ab,
+        g=draw(st.floats(0.0, 2.0)),
+        delta=draw(st.floats(-4.0, 4.0)),
+        n_atoms=draw(st.integers(1, n_max)),
+    )
+
+
+def dense_hamiltonian(p: PhysicalParams) -> np.ndarray:
+    """H_U from the pseudo-spin operators: jx = a'b + ab', jz = n_a - n_b."""
+    n = p.n_atoms
+    jx, _, jz = (m.real for m in pseudo_spin_matrices(n))
+    na = 0.5 * (n * np.eye(n + 1) + jz)
+    nb = 0.5 * (n * np.eye(n + 1) - jz)
+    return (
+        (p.omega_a - p.gamma_a) * na
+        + (p.omega_b - p.gamma_b) * nb
+        + p.gamma_a * na @ na
+        + p.gamma_b * nb @ nb
+        + 2.0 * p.gamma_ab * na @ nb
+        - p.g * jx
+        - 0.5 * p.delta * jz
+    )
+
+
+@PROPERTY
+@given(params())
+def test_rotating_frame_hamiltonian_is_two_real_bands(p):
+    diag, off = rotating_frame_hamiltonian(p)
+    assert diag.dtype == off.dtype == np.float64
+    assert diag.shape == (p.n_atoms + 1,) and off.shape == (p.n_atoms,)
+    h = dense_hamiltonian(p)
+    scale = 1.0 + np.max(np.abs(h))
+    assert np.max(np.abs(diag - np.diag(h))) <= 1e-14 * scale
+    assert np.max(np.abs(off - np.diag(h, 1))) <= 1e-14 * scale
+    assert np.max(np.abs(off - np.diag(h, -1))) <= 1e-14 * scale
+
+
+@PROPERTY
+@given(params(zero_lambda=True), states, times)
+def test_oracle_matches_analytic_propagator_at_zero_lambda(p, initial, t):
+    s0 = acs_state(initial, p.n_atoms)
+    a = evolve_oracle(p, s0, t).amplitudes
+    b = full_propagator_analytic(p, t) @ s0.amplitudes
+    assert np.max(np.abs(a - b)) < 1e-9
+
+
+@PROPERTY
+@given(params(n_max=1), states, times)
+def test_single_boson_oracle_is_qubit_propagator(p, initial, t):
+    s0 = acs_state(initial, 1)
+    a = evolve_oracle(p, s0, t).amplitudes
+    assert np.max(np.abs(a - qubit_propagator(p, t) @ s0.amplitudes)) < 1e-12
+
+
+@PROPERTY
+@given(params(), states, st.lists(times, min_size=1, max_size=5))
+def test_oracle_conserves_norm(p, initial, ts):
+    for s in evolve_oracle_at_times(p, acs_state(initial, p.n_atoms), ts):
+        assert abs(s.norm() - 1.0) < 1e-12
+
+
+@settings(PROPERTY, max_examples=10)
+@given(params(n_max=8), states, st.floats(0.1, 1.0))
+def test_oracle_matches_rk4_with_nonlinearity(p, initial, t):
+    assume(abs(derive_params(p).lambda_nl) > 1e-3)
+    s0 = acs_state(initial, p.n_atoms)
+    a = evolve_oracle(p, s0, t).amplitudes
+    b = evolve_rk4(p, s0, t, dt=0.02 / (1.0 + spectral_radius_bound(p))).amplitudes
+    assert np.max(np.abs(a - b)) < 1e-6
+
+
+@PROPERTY
+@given(params(), states, times, frequencies)
+def test_common_trap_shift_changes_only_global_phase(p, initial, t, shift):
+    # H_U gains shift * (n_a + n_b) = shift * N, so the state gains e^{-i shift N t}
+    s0 = acs_state(initial, p.n_atoms)
+    shifted = replace(p, omega_a=p.omega_a + shift, omega_b=p.omega_b + shift)
+    a = evolve_oracle(p, s0, t).amplitudes
+    b = evolve_oracle(shifted, s0, t).amplitudes
+    assert np.max(np.abs(b - np.exp(-1j * shift * p.n_atoms * t) * a)) < 1e-9
+
+
+@settings(PROPERTY, max_examples=15)
+@given(params(n_max=4), states, times)
+def test_oracle_matches_50_digit_matrix_exponential(p, initial, t):
+    s0 = acs_state(initial, p.n_atoms)
+    with mpmath.workdps(50):
+        # the float inputs are exact in mpmath, so only the reference rounds, at 1e-50
+        n = p.n_atoms
+        h = mpmath.zeros(n + 1, n + 1)
+        for k in range(n + 1):
+            na, nb = mpmath.mpf(n - k), mpmath.mpf(k)
+            h[k, k] = (
+                (mpmath.mpf(p.omega_a) - p.gamma_a) * na
+                + (mpmath.mpf(p.omega_b) - p.gamma_b) * nb
+                + p.gamma_a * na**2
+                + p.gamma_b * nb**2
+                + 2 * mpmath.mpf(p.gamma_ab) * na * nb
+                - mpmath.mpf(p.delta) / 2 * (na - nb)
+            )
+            if k < n:
+                h[k, k + 1] = h[k + 1, k] = -mpmath.mpf(p.g) * mpmath.sqrt((n - k) * (k + 1))
+        t_mp = mpmath.mpf(t)
+        u = mpmath.expm(-1j * t_mp * h)
+        psi = u * mpmath.matrix([mpmath.mpc(complex(c)) for c in s0.amplitudes])
+        ref = np.array(
+            [complex(mpmath.exp(-0.5j * p.delta * t_mp * (n - 2 * k)) * psi[k]) for k in range(n + 1)]
+        )
+    assert np.max(np.abs(evolve_oracle(p, s0, t).amplitudes - ref)) < 1e-12
