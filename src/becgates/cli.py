@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolve import evolve_oracle, qubit_propagator
+from .evolve import evolve_oracle, qubit_propagator, spectral_radius_bound
 from .fock import AcsParams, acs_state, state_to_csv
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
@@ -49,16 +49,14 @@ from .sweeps import (
     DEFAULT_DGAMMA_RATIO_VALUES,
     DEFAULT_DDELTA_RATIO_VALUES,
     DEFAULT_LAMBDA_VALUES,
+    _delta_overrides,
+    _surface_overrides,
     sweep_delta,
     sweep_lambda_gamma,
     trajectory,
 )
 
 __all__ = ["main", "entrypoint"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _load_config(path: str) -> dict:
@@ -96,14 +94,12 @@ def _axis(name: str, value) -> np.ndarray:
         extra = set(value) - {"start", "stop", "num"}
         if extra:
             raise ValidationError(f"field '{name}.{sorted(extra)[0]}' is not recognized")
-        axis = np.linspace(
-            _number(f"{name}.start", value.get("start")),
-            _number(f"{name}.stop", value.get("stop")),
-            _integer(f"{name}.num", value.get("num"), 1),
-        )
-        if not np.isfinite(axis).all():  # stop - start can overflow
-            _reject(name, value, "an axis of finite values")
-        return axis
+        with np.errstate(over="ignore", invalid="ignore"):  # the realized values are checked
+            return np.linspace(
+                _number(f"{name}.start", value.get("start")),
+                _number(f"{name}.stop", value.get("stop")),
+                _integer(f"{name}.num", value.get("num"), 1),
+            )
     if not isinstance(value, list) or not value:
         _reject(name, value, "a non-empty list of numbers or an object with keys start, stop, num")
     return np.array([_number(f"{name}[{i}]", v) for i, v in enumerate(value)])
@@ -129,24 +125,34 @@ def _gate(value) -> GateId:
 # ----------------------------------------------- resolve: config -> (config, provenance, run)
 
 
-def _params_and_initial(cfg: dict):
-    """The 'params' and 'initial' fields that evolve and trajectory share."""
+def _phase_rate(p) -> float:
+    """A bound on |E| and |delta| N: evolving p over t overflows (to NaN) only if t times it does."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the answer here
+        return spectral_radius_bound(p) + abs(p.delta) * p.n_atoms
+
+
+def _params_and_initial(cfg: dict, time_key: str):
+    """The 'params' and 'initial' fields that evolve and trajectory share, and their time."""
     if not isinstance(cfg.get("params"), dict):
         _reject("params", cfg.get("params"), "an object with the parameter keys")
     p = params_from_dict(cfg["params"])
+    rate = _phase_rate(p)
+    if not math.isfinite(rate):
+        raise ValidationError("field 'params': the Hamiltonian's entries overflow")
     initial = _initial(cfg.get("initial"))
-    return p, initial, {"params": params_to_dict(p), "initial": asdict(initial)}
+    t = _number(time_key, cfg.get(time_key), minimum=0.0, strict=time_key == "t_final")
+    if not math.isfinite(t * rate):
+        _reject(time_key, t, "a time at which the phases E*t and delta*t*N stay finite")
+    return p, initial, t, {"params": params_to_dict(p), "initial": asdict(initial), time_key: t}
 
 
 def _resolve_evolve(cfg: dict):
-    p, initial, resolved = _params_and_initial(cfg)
-    t = resolved["t"] = _number("t", cfg.get("t"), minimum=0.0)
+    p, initial, t, resolved = _params_and_initial(cfg, "t")
     return resolved, None, lambda: state_to_csv(evolve_oracle(p, acs_state(initial, p.n_atoms), t))
 
 
 def _resolve_trajectory(cfg: dict):
-    p, initial, resolved = _params_and_initial(cfg)
-    t_final = resolved["t_final"] = _number("t_final", cfg.get("t_final"), minimum=0.0, strict=True)
+    p, initial, t_final, resolved = _params_and_initial(cfg, "t_final")
     n_samples = resolved["n_samples"] = _integer("n_samples", cfg.get("n_samples", 101), 2)
     return resolved, None, lambda: trajectory(p, initial, t_final, n_samples).to_csv()
 
@@ -162,8 +168,14 @@ def _resolve_sweep(cfg: dict):
     resolved = {"kind": kind, "gate": gate.value, "n_atoms": n_atoms,
                 "initial": asdict(initial), "workers": workers}
 
-    def axis(key: str, default: np.ndarray) -> np.ndarray:
+    def axis(key: str, default: np.ndarray, realize) -> np.ndarray:
         values = _axis(key, cfg.get(key, default.tolist()))
+        for i, value in enumerate(values.tolist()):
+            for overrides in realize(value):  # an overflow would make the cell NaN
+                if not (all(map(math.isfinite, overrides.values())) and math.isfinite(
+                        spec.t_gate * _phase_rate(params_for_gate(spec, n_atoms, overrides)))):
+                    raise ValidationError(f"field '{key}[{i}]': {value!r} realizes {overrides}, "
+                                          "out of floating-point range")
         resolved[key] = values.tolist()
         return values
 
@@ -176,8 +188,12 @@ def _resolve_sweep(cfg: dict):
         except ValueError as exc:  # g = 1 is valid: the factor is too small or too large
             raise ValidationError(f"field 'detuning_factor': {exc}") from None
         sweep = partial(
-            sweep_lambda_gamma, gate, axis("lambda_values", DEFAULT_LAMBDA_VALUES),
-            axis("dgamma_ratio_values", DEFAULT_DGAMMA_RATIO_VALUES), detuning_factor=factor,
+            sweep_lambda_gamma, gate,
+            axis("lambda_values", DEFAULT_LAMBDA_VALUES,
+                 lambda v: [_surface_overrides(spec, v, 0.0)]),
+            axis("dgamma_ratio_values", DEFAULT_DGAMMA_RATIO_VALUES,
+                 lambda v: [_surface_overrides(spec, 0.0, v)]),
+            detuning_factor=factor,
         )
     else:
         if gate not in TRANSFER_GATES:
@@ -185,7 +201,8 @@ def _resolve_sweep(cfg: dict):
                 f"field 'gate': the delta sweep applies to transfer gates only, got {gate.value!r}"
             )
         spec = gate_conditions(gate, 1.0)
-        sweep = partial(sweep_delta, gate, axis("ddelta_ratio_values", DEFAULT_DDELTA_RATIO_VALUES))
+        sweep = partial(sweep_delta, gate, axis("ddelta_ratio_values", DEFAULT_DDELTA_RATIO_VALUES,
+                                                lambda v: _delta_overrides(spec, v)))
     provenance = {
         "gate_spec_in_g_units": gate_spec_to_dict(spec),
         "realization": (
@@ -260,19 +277,20 @@ def _gate_check(flags: dict) -> int:
     g = _number("g", flags.get("g"), minimum=0.0, strict=True)
     factor = _number("detuning_factor", flags.get("detuning_factor", DEFAULT_DETUNING_FACTOR),
                      minimum=MIN_DETUNING_FACTOR if gate in PHASE_GATES else -math.inf)
-    try:
-        spec = gate_conditions(gate, g, factor)
-    except ValueError as exc:  # g > 0 and the factor is in range: g is too small or too large
-        raise ValidationError(f"field 'g': {exc}") from None
+    for field, at_g in (("detuning_factor", 1.0), ("g", g)):  # g = 1 fails only by the factor
+        try:
+            spec = gate_conditions(gate, at_g, factor)
+        except ValueError as exc:
+            raise ValidationError(f"field '{field}': {exc}") from None
     prop = qubit_propagator(params_for_gate(spec, 1), spec.t_gate)
     dev = up_to_phase_deviation(prop, spec.target)
     print(f"gate: {gate.value}")
-    print(f"t_gate: {_fmt(spec.t_gate)} [1/(unit of g)]")
-    print(f"delta_g: {_fmt(spec.delta_g)} [unit of g]")
-    print(f"gamma_g: {_fmt(spec.gamma_g)} [unit of g]")
+    print(f"t_gate: {spec.t_gate:.17g} [1/(unit of g)]")
+    print(f"delta_g: {spec.delta_g:.17g} [unit of g]")
+    print(f"gamma_g: {spec.gamma_g:.17g} [unit of g]")
     if gate in PHASE_GATES:
-        print(f"detuning_factor: {_fmt(spec.detuning_factor)}")
-    print(f"deviation_up_to_phase: {_fmt(dev)}")
+        print(f"detuning_factor: {spec.detuning_factor:.17g}")
+    print(f"deviation_up_to_phase: {dev:.17g}")
     return 0
 
 

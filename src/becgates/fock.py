@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "AcsParams",
@@ -46,6 +45,13 @@ class AcsParams:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
         if not (0.0 <= self.phi < 2.0 * math.pi):
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
+
+    @property
+    def spinor(self) -> np.ndarray:
+        """Single-atom state (cos(theta/2), sin(theta/2) e^{i phi}), exact at both poles."""
+        half = 0.5 * self.theta
+        alpha = 0.0 if self.theta == math.pi else math.cos(half)  # cos(pi/2) rounds to 6e-17
+        return np.array([alpha, math.sin(half) * cmath.exp(1j * self.phi)])
 
 
 @dataclass
@@ -83,50 +89,34 @@ def _check_n_atoms(n_atoms: int) -> None:
 
 
 def acs_state(a: AcsParams, n_atoms: int) -> StateVector:
-    """Atomic coherent state |theta, phi> for N bosons.
-
-    Amplitude at index k is sqrt(C(N,k)) * cos(theta/2)^(N-k)
-    * (sin(theta/2) e^{i phi})^k.  Binomial weights are assembled in log
-    space so the construction stays finite up to N in the thousands.
-    """
-    _check_n_atoms(n_atoms)
-    n = n_atoms
-    ch = math.cos(a.theta / 2.0)
-    sh = math.sin(a.theta / 2.0)
-    amps = np.zeros(n + 1, dtype=complex)
-    if sh == 0.0:
-        amps[0] = 1.0
-    elif ch == 0.0 or a.theta == math.pi:
-        amps[n] = cmath.exp(1j * a.phi * n)
-    else:
-        k = np.arange(n + 1)
-        ln_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        log_mag = 0.5 * ln_binom + (n - k) * math.log(ch) + k * math.log(sh)
-        amps = np.exp(log_mag) * np.exp(1j * a.phi * k)
-    amps /= np.linalg.norm(amps)
-    return StateVector(n_atoms=n, amplitudes=amps)
+    """Atomic coherent state |theta, phi> for N bosons: the ACS of ``a.spinor``."""
+    return acs_from_spinor(*a.spinor, n_atoms)
 
 
 def acs_from_spinor(alpha: complex, beta: complex, n_atoms: int) -> StateVector:
-    """ACS built from an (alpha, beta) qubit spinor, normalized first.
+    """ACS of N bosons that each occupy the qubit spinor (alpha, beta), normalized first.
 
-    The global spinor phase is dropped (it would only contribute an overall
-    phase factor per atom), so the returned state corresponds to
-    theta = 2*atan2(|beta|, |alpha|), phi = arg(beta) - arg(alpha).
+    Amplitude at index k is sqrt(C(N,k)) |alpha|^(N-k) |beta|^k e^{i k phi} with
+    phi = arg(beta) - arg(alpha): the global spinor phase is dropped.  The
+    weights are assembled in log space, ln C(N,k) as a running sum of
+    ln((N-j)/(j+1)), so they stay finite up to N in the thousands.  A spinor
+    with a zero component gives its pole, a single Fock state, exactly.
     """
-    norm = math.hypot(abs(alpha), abs(beta))
-    if norm == 0.0:
-        raise ValueError("spinor must be nonzero")
-    alpha, beta = alpha / norm, beta / norm
-    theta = 2.0 * math.atan2(abs(beta), abs(alpha))
-    if abs(alpha) > 0.0 and abs(beta) > 0.0:
-        phi = (cmath.phase(beta) - cmath.phase(alpha)) % (2.0 * math.pi)
-    elif abs(beta) > 0.0:
-        phi = cmath.phase(beta) % (2.0 * math.pi)
-    else:
-        phi = 0.0
-    theta = min(max(theta, 0.0), math.pi)
-    return acs_state(AcsParams(theta=theta, phi=phi), n_atoms)
+    _check_n_atoms(n_atoms)
+    n = n_atoms
+    a, b = abs(alpha), abs(beta)
+    norm = math.hypot(a, b)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"spinor must be finite and nonzero, got ({alpha!r}, {beta!r})")
+    k = np.arange(n + 1)
+    ln_binom = np.concatenate(([0.0], np.cumsum(np.log((n - k[:-1]) / (k[:-1] + 1.0)))))
+    # at a pole, ln 0 = -inf zeroes every other weight; the pole's own 0 * ln 0 = nan is really 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag = np.nan_to_num(0.5 * ln_binom + (n - k) * np.log(a / norm) + k * np.log(b / norm))
+    phi = cmath.phase(beta) - (cmath.phase(alpha) if a else 0.0)  # phase(-0.0) is pi, not 0
+    amps = np.exp(log_mag) * np.exp(1j * phi * k)
+    amps /= np.linalg.norm(amps)
+    return StateVector(n_atoms=n, amplitudes=amps)
 
 
 def acs_params_from_state(s: StateVector) -> AcsParams:

@@ -187,17 +187,14 @@ def run_gate(
     """Evolve an initial ACS through one gate and score it against the target.
 
     The N-particle target is the ACS whose spinor is spec.target applied to
-    (cos(theta/2), sin(theta/2) e^{i phi}); the evolved state comes from the
-    exact oracle, so deviations from ideal conditions (via overrides) show up
-    directly in the returned fidelity.
+    initial.spinor; the evolved state comes from the exact oracle, so
+    deviations from ideal conditions (via overrides) show up directly in the
+    returned fidelity.
     """
     p = params_for_gate(spec, n_atoms, overrides)
     s0 = acs_state(initial, n_atoms)
     final = evolve_oracle(p, s0, spec.t_gate)
-    alpha = math.cos(initial.theta / 2.0)
-    beta = math.sin(initial.theta / 2.0) * cmath.exp(1j * initial.phi)
-    tgt_alpha, tgt_beta = spec.target @ np.array([alpha, beta])
-    target_state = acs_from_spinor(tgt_alpha, tgt_beta, n_atoms)
+    target_state = acs_from_spinor(*(spec.target @ initial.spinor), n_atoms)
     return final, fidelity(target_state, final)
 
 

@@ -85,10 +85,9 @@ class PhysicalParams:
                 raise ValidationError(f"field '{name}' must be a finite number, got {value!r}")
         if self.g < 0:
             raise ValidationError(f"field 'g' must be >= 0, got {self.g!r}")
-        if not isinstance(self.n_atoms, int) or isinstance(self.n_atoms, bool):
-            raise ValidationError(f"field 'n_atoms' must be an integer, got {self.n_atoms!r}")
-        if self.n_atoms < 1:
-            raise ValidationError(f"field 'n_atoms' must be >= 1, got {self.n_atoms!r}")
+        n = self.n_atoms
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValidationError(f"field 'n_atoms' must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,7 @@ def params_from_dict(data: dict) -> PhysicalParams:
     if extra:
         raise ValidationError(f"field '{extra[0]}' is not a recognized parameter")
     kwargs = {name: _number(name, data[name]) for name in PARAM_FIELDS[:-1]}
-    n = data["n_atoms"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValidationError(f"field 'n_atoms' must be an integer, got {n!r}")
-    kwargs["n_atoms"] = n
-    return PhysicalParams(**kwargs)
+    return PhysicalParams(**kwargs, n_atoms=data["n_atoms"])  # which checks n_atoms
 
 
 def params_to_dict(p: PhysicalParams) -> dict:

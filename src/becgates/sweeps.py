@@ -121,6 +121,14 @@ def _cell_fidelity(spec: GateSpec, initial: AcsParams, n_atoms: int, overrides) 
     return f
 
 
+def _surface_overrides(spec: GateSpec, lam: float, ratio: float) -> dict[str, float]:
+    return {"gamma_ab": 2.0 * lam, "omega_ab": spec.gamma_g * (1.0 + ratio)}
+
+
+def _delta_overrides(spec: GateSpec, ratio: float) -> list[dict[str, float]]:
+    return [{"delta": spec.delta_g * (1.0 + sign * ratio)} for sign in (1.0, -1.0)]
+
+
 def sweep_lambda_gamma(
     gate: GateId,
     lambda_values=None,
@@ -157,9 +165,7 @@ def sweep_lambda_gamma(
     cells = [(lv, rv) for lv in lam for rv in rat]
 
     def one(cell):
-        lv, rv = cell
-        overrides = {"gamma_ab": 2.0 * lv, "omega_ab": spec.gamma_g * (1.0 + rv)}
-        return _cell_fidelity(spec, initial, n_atoms, overrides)
+        return _cell_fidelity(spec, initial, n_atoms, _surface_overrides(spec, *cell))
 
     flat = _grid_map(cells, one, workers)
     grid = np.array(flat, dtype=float).reshape(len(lam), len(rat))
@@ -206,15 +212,8 @@ def sweep_delta(
     spec = gate_conditions(gate, 1.0)
 
     def one(rv):
-        worst = math.inf
-        for sign in (1.0, -1.0):
-            f = _cell_fidelity(
-                spec, initial, n_atoms, {"delta": spec.delta_g * (1.0 + sign * rv)}
-            )
-            if math.isnan(f):
-                return math.nan
-            worst = min(worst, f)
-        return worst
+        fs = [_cell_fidelity(spec, initial, n_atoms, o) for o in _delta_overrides(spec, rv)]
+        return math.nan if any(map(math.isnan, fs)) else min(fs)
 
     flat = _grid_map(list(rat), one, workers)
     grid = np.array(flat, dtype=float).reshape(len(rat), 1)

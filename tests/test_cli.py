@@ -362,6 +362,23 @@ BAD_INPUT_BASE = {
         ("gate-check", None, ["--gate", "not", "--g", "1e-320"], "g"),
         ("gate-check", None, ["--gate", "z", "--g", "1e-320"], "g"),
         ("sweep", {"detuning_factor": 1e308}, [], "detuning_factor"),
+        (
+            "gate-check",
+            None,
+            ["--gate", "z", "--g", "1", "--detuning-factor", "1e308"],
+            "detuning_factor",
+        ),
+        # a phase E*t or delta*t*N, or a realized parameter, overflows: the output would be NaN
+        ("evolve", {"t": 1e308}, [], "t"),
+        ("trajectory", {"t_final": 1e308}, [], "t_final"),
+        ("evolve", {"params": {**PARAMS_NOT, "omega_a": 1e308}}, [], "params"),
+        ("sweep", {"lambda_values": [0.0, 1e308]}, [], "lambda_values[1]"),
+        ("sweep", {"lambda_values": [1e305], "n_atoms": 100}, [], "lambda_values[0]"),
+        # stop - start overflows, so linspace yields nan, inf, 1e308
+        ("sweep", {"lambda_values": {"start": -1e308, "stop": 1e308, "num": 3}}, [],
+         "lambda_values[0]"),
+        ("sweep", {"kind": "delta", "gate": "not", "ddelta_ratio_values": [1e308]}, [],
+         "ddelta_ratio_values[0]"),
     ],
     ids=[
         "t-nan", "t-inf", "t-bool", "t-str", "t-int-overflow", "param-int-overflow",
@@ -369,6 +386,9 @@ BAD_INPUT_BASE = {
         "detuning_factor-nan", "detuning_factor-str", "axis-nan", "axis-num-0", "workers-0",
         "g-nan", "detuning_factor-flag-nan",
         "g-overflow", "g-subnormal", "g-subnormal-phase-gate", "detuning_factor-overflow",
+        "detuning_factor-flag-overflow", "t-phase-overflow", "t_final-phase-overflow",
+        "params-hamiltonian-overflow", "lambda-overflow", "lambda-hamiltonian-overflow",
+        "axis-linspace-overflow", "ddelta-overflow",
     ],
 )
 def test_bad_input_exits_two_naming_field(tmp_path, capsys, command, config, flags, field):

@@ -3,7 +3,8 @@
 Hypothesis draws parameter sets with N <= 32; ``derandomize`` makes every
 run test the same examples.  A 50-digit mpmath matrix exponential of the
 dense H_U anchors the oracle absolutely for N <= 4, so "agree" does not rest
-on the engines' mutual consistency alone.
+on the engines' mutual consistency alone; a 40-digit mpmath binomial
+expansion anchors the coherent states the same way.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import replace
 
 import mpmath
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from becgates.evolve import (
     evolve_oracle,
@@ -22,7 +23,8 @@ from becgates.evolve import (
     rotating_frame_hamiltonian,
     spectral_radius_bound,
 )
-from becgates.fock import AcsParams, acs_state, pseudo_spin_matrices
+from becgates.fock import AcsParams, acs_from_spinor, acs_state, pseudo_spin_matrices
+from becgates.gates import GateId, gate_conditions, params_for_gate, run_gate
 from becgates.params import PhysicalParams, derive_params
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -155,3 +157,76 @@ def test_oracle_matches_50_digit_matrix_exponential(p, initial, t):
             [complex(mpmath.exp(-0.5j * p.delta * t_mp * (n - 2 * k)) * psi[k]) for k in range(n + 1)]
         )
     assert np.max(np.abs(evolve_oracle(p, s0, t).amplitudes - ref)) < 1e-12
+
+
+def mpmath_acs(alpha, beta, n: int) -> np.ndarray:
+    """sqrt(C(N,k)) alpha^(N-k) beta^k for the normalized spinor, at 40 digits."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpc(alpha), mpmath.mpc(beta)
+        norm = mpmath.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        a, b = a / norm, b / norm
+        return np.array([complex(mpmath.sqrt(math.comb(n, k)) * a ** (n - k) * b**k)
+                         for k in range(n + 1)])
+
+
+def assert_amplitudes_close(a: np.ndarray, ref: np.ndarray) -> None:
+    # relative to each amplitude, so the far tails count; the largest relative
+    # errors measured 5e-14, 5e-13 and 4e-12 at N = 100, 1000 and 5000
+    n = len(ref) - 1
+    assert np.all(np.abs(a - ref) <= 2e-15 * (n + 10) * np.abs(ref) + 1e-300)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(states, st.integers(1, 300))
+@example(AcsParams(theta=1.1, phi=2.3), 5000)
+@example(AcsParams(theta=math.pi, phi=4.0), 7)
+def test_acs_state_matches_40_digit_binomial_expansion(initial, n):
+    with mpmath.workdps(40):
+        half = mpmath.mpf(initial.theta) / 2
+        alpha = 0 if initial.theta == math.pi else mpmath.cos(half)  # theta = pi is the pole
+        beta = mpmath.sin(half) * mpmath.expj(initial.phi)
+        ref = mpmath_acs(alpha, beta, n)
+    assert_amplitudes_close(acs_state(initial, n).amplitudes, ref)
+
+
+spinor_parts = st.floats(-2.0, 2.0)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(spinor_parts, spinor_parts, spinor_parts, spinor_parts, st.integers(1, 300))
+@example(0.3, -0.2, -0.7, 0.4, 1000)
+@example(0.0, 0.0, -0.7, 0.4, 9)
+@example(-0.0, 0.0, 0.0, 0.4, 9)
+def test_acs_from_spinor_matches_40_digit_binomial_expansion(ar, ai, br, bi, n):
+    alpha, beta = complex(ar, ai), complex(br, bi)
+    assume(abs(alpha) + abs(beta) > 1e-3)
+    # the global spinor phase is dropped: alpha is rotated onto the positive real axis
+    with mpmath.workdps(40):
+        a, b = mpmath.mpc(alpha), mpmath.mpc(beta)
+        ref = mpmath_acs(abs(a), b * abs(a) / a if a != 0 else b, n)
+    assert_amplitudes_close(acs_from_spinor(alpha, beta, n).amplitudes, ref)
+
+
+@PROPERTY
+@given(params(zero_lambda=True), states, times)
+def test_oracle_keeps_a_coherent_state_coherent_at_zero_lambda(p, initial, t):
+    # at lambda = 0 the dynamics is an SU(2) rotation of every atom's spinor
+    evolved = evolve_oracle(p, acs_state(initial, p.n_atoms), t).amplitudes
+    rotated = acs_from_spinor(*(qubit_propagator(p, t) @ initial.spinor), p.n_atoms).amplitudes
+    overlap = np.vdot(rotated, evolved)
+    assert abs(abs(overlap) - 1.0) < 1e-9
+    assert np.max(np.abs(evolved - overlap / abs(overlap) * rotated)) < 1e-9
+
+
+@PROPERTY
+@given(st.sampled_from(list(GateId)), states, st.integers(1, 32), st.floats(-0.3, 0.3),
+       st.floats(-0.3, 0.3))
+def test_run_gate_fidelity_is_qubit_fidelity_to_the_n(gate, initial, n, ddelta, dgamma):
+    spec = gate_conditions(gate, 1.0)
+    overrides = {"delta": spec.delta_g * (1.0 + ddelta), "omega_ab": spec.gamma_g * (1.0 + dgamma)}
+    _, f = run_gate(spec, initial, n, overrides)
+    half = initial.theta / 2.0
+    spinor = np.array([math.cos(half), math.sin(half) * np.exp(1j * initial.phi)])
+    u = qubit_propagator(params_for_gate(spec, n, overrides), spec.t_gate)
+    f1 = abs(np.vdot(spec.target @ spinor, u @ spinor)) ** 2
+    assert abs(f - f1**n) <= 1e-12
