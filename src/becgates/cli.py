@@ -20,13 +20,13 @@ line naming the field, and no file is written), 1 on an internal error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import traceback
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,23 +38,13 @@ from .gates import (
     MIN_DETUNING_FACTOR,
     GateId,
     PHASE_GATES,
-    TRANSFER_GATES,
     gate_conditions,
     gate_spec_to_dict,
     params_for_gate,
     up_to_phase_deviation,
 )
 from .params import ValidationError, _number, _reject, params_from_dict, params_to_dict
-from .sweeps import (
-    DEFAULT_DGAMMA_RATIO_VALUES,
-    DEFAULT_DDELTA_RATIO_VALUES,
-    DEFAULT_LAMBDA_VALUES,
-    _delta_overrides,
-    _surface_overrides,
-    sweep_delta,
-    sweep_lambda_gamma,
-    trajectory,
-)
+from .sweeps import SWEEP_KINDS, sweep_delta, sweep_lambda_gamma, trajectory
 
 __all__ = ["main", "entrypoint"]
 
@@ -157,52 +147,56 @@ def _resolve_trajectory(cfg: dict):
     return resolved, None, lambda: trajectory(p, initial, t_final, n_samples).to_csv()
 
 
+def _check_cells(spec, n_atoms: int, realize, axes: dict[str, list[float]]) -> None:
+    """Reject a value, then a grid cell, whose realized parameters overflow: its cell would be NaN.
+
+    A value is first checked with the other axes at their ideal 0, so that it names only its field.
+    """
+    def check(fields: dict[str, float], cell: list[float]) -> None:
+        for overrides in realize(spec, *cell):
+            if not (all(map(math.isfinite, overrides.values())) and math.isfinite(
+                    spec.t_gate * _phase_rate(params_for_gate(spec, n_atoms, overrides)))):
+                raise ValidationError(
+                    f"{', '.join(f'field {f!r}' for f in fields)}: "
+                    f"{', '.join(map(repr, fields.values()))} realizes {overrides}, "
+                    "out of floating-point range"
+                )
+
+    for k, (key, values) in enumerate(axes.items()):
+        for i, value in enumerate(values):
+            check({f"{key}[{i}]": value}, [value if m == k else 0.0 for m in range(len(axes))])
+    for cell in itertools.product(*(list(enumerate(values)) for values in axes.values())):
+        fields = {f"{key}[{i}]": value for key, (i, value) in zip(axes, cell)}
+        check(fields, list(fields.values()))
+
+
 def _resolve_sweep(cfg: dict):
     kind = cfg.get("kind")
-    if kind not in ("lambda-gamma", "delta"):
-        _reject("kind", kind, "'lambda-gamma' or 'delta'")
+    if kind not in SWEEP_KINDS:
+        _reject("kind", kind, " or ".join(map(repr, SWEEP_KINDS)))
+    row = SWEEP_KINDS[kind]
     gate = _gate(cfg.get("gate"))
     n_atoms = _integer("n_atoms", cfg.get("n_atoms", 1000), 1)
     initial = _initial(cfg.get("initial", {"theta": math.pi / 8.0, "phi": 0.0}))
     workers = _integer("workers", cfg.get("workers", 1), 1)
     resolved = {"kind": kind, "gate": gate.value, "n_atoms": n_atoms,
                 "initial": asdict(initial), "workers": workers}
-
-    def axis(key: str, default: np.ndarray, realize) -> np.ndarray:
-        values = _axis(key, cfg.get(key, default.tolist()))
-        for i, value in enumerate(values.tolist()):
-            for overrides in realize(value):  # an overflow would make the cell NaN
-                if not (all(map(math.isfinite, overrides.values())) and math.isfinite(
-                        spec.t_gate * _phase_rate(params_for_gate(spec, n_atoms, overrides)))):
-                    raise ValidationError(f"field '{key}[{i}]': {value!r} realizes {overrides}, "
-                                          "out of floating-point range")
-        resolved[key] = values.tolist()
-        return values
-
-    if kind == "lambda-gamma":
-        factor = resolved["detuning_factor"] = _number(
+    if gate not in row.gates:
+        _reject("gate", gate.value, f"one of the {row.gates_name} for the {kind} sweep")
+    options, sweep = {}, sweep_delta
+    if kind == "lambda-gamma":  # the kind with phase gates, whose conditions take a factor
+        options["detuning_factor"] = resolved["detuning_factor"] = _number(
             "detuning_factor", cfg.get("detuning_factor", DEFAULT_DETUNING_FACTOR)
         )
-        try:
-            spec = gate_conditions(gate, 1.0, factor)
-        except ValueError as exc:  # g = 1 is valid: the factor is too small or too large
-            raise ValidationError(f"field 'detuning_factor': {exc}") from None
-        sweep = partial(
-            sweep_lambda_gamma, gate,
-            axis("lambda_values", DEFAULT_LAMBDA_VALUES,
-                 lambda v: [_surface_overrides(spec, v, 0.0)]),
-            axis("dgamma_ratio_values", DEFAULT_DGAMMA_RATIO_VALUES,
-                 lambda v: [_surface_overrides(spec, 0.0, v)]),
-            detuning_factor=factor,
-        )
-    else:
-        if gate not in TRANSFER_GATES:
-            raise ValidationError(
-                f"field 'gate': the delta sweep applies to transfer gates only, got {gate.value!r}"
-            )
-        spec = gate_conditions(gate, 1.0)
-        sweep = partial(sweep_delta, gate, axis("ddelta_ratio_values", DEFAULT_DDELTA_RATIO_VALUES,
-                                                lambda v: _delta_overrides(spec, v)))
+        sweep = sweep_lambda_gamma
+    try:
+        spec = gate_conditions(gate, 1.0, **options)
+    except ValueError as exc:  # g = 1 is valid: the factor is too small or too large
+        raise ValidationError(f"field 'detuning_factor': {exc}") from None
+    axes = {key: _axis(key, cfg.get(key, default.tolist())).tolist()
+            for key, _, default in row.axes}
+    _check_cells(spec, n_atoms, row.realize, axes)
+    resolved.update(axes)
     provenance = {
         "gate_spec_in_g_units": gate_spec_to_dict(spec),
         "realization": (
@@ -213,7 +207,7 @@ def _resolve_sweep(cfg: dict):
     }
 
     def run() -> str:
-        grid = sweep(n_atoms=n_atoms, initial=initial, workers=workers)
+        grid = sweep(gate, **axes, n_atoms=n_atoms, initial=initial, workers=workers, **options)
         provenance["axes"] = {"axis1": grid.axis1_name, "axis2": grid.axis2_name}
         return grid.to_csv()
 
@@ -323,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", required=True, help="output CSV (sidecar: <output>.meta.json)")
     io["evolve"].add_argument("--t", type=float, help="evolution time")
     ps = io["sweep"]
-    ps.add_argument("--kind", choices=["lambda-gamma", "delta"], help="sweep kind")
+    ps.add_argument("--kind", choices=list(SWEEP_KINDS), help="sweep kind")
     ps.add_argument("--gate", help="gate id: not, y, h, z, s, t")
     ps.add_argument("--workers", type=int, help="parallel workers (default 1)")
     ps.add_argument("--n-atoms", type=int, help="boson number (default 1000)")

@@ -63,7 +63,10 @@ def qubit_propagator(p: PhysicalParams, t: float) -> np.ndarray:
     return np.exp(-1j * dp.eta * t) * np.array([[p11, p12], [p21, p22]])
 
 
-def full_propagator_analytic(p: PhysicalParams, t: float, *, lambda_atol: float = 1e-12) -> np.ndarray:
+_LAMBDA_ATOL = 1e-12  # |lambda_nl| that full_propagator_analytic still takes as zero
+
+
+def full_propagator_analytic(p: PhysicalParams, t: float) -> np.ndarray:
     """Analytic propagator on the full (N+1)-dimensional Fock space.
 
     Valid only when the nonlinear parameter vanishes: the two-mode dynamics
@@ -71,13 +74,12 @@ def full_propagator_analytic(p: PhysicalParams, t: float, *, lambda_atol: float 
     U(t) V exp(-i H_V t) V' with U(t) a diagonal frame phase, V the
     exponential of the anti-Hermitian mixing generator and H_V diagonal.
 
-    Raises ValueError if |lambda_nl| > lambda_atol (precondition violated)
-    or t < 0.
+    Raises ValueError if |lambda_nl| > 1e-12 (precondition violated) or t < 0.
     """
     if t < 0:
         raise ValueError(f"evolution time must be >= 0, got {t!r}")
     dp = derive_params(p)
-    if abs(dp.lambda_nl) > lambda_atol:
+    if abs(dp.lambda_nl) > _LAMBDA_ATOL:
         raise ValueError(
             "full_propagator_analytic requires lambda_nl = 0 "
             f"(got lambda_nl = {dp.lambda_nl!r}); use evolve_oracle for nonzero nonlinearity"

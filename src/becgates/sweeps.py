@@ -1,15 +1,20 @@
 """Robustness studies: fidelity surfaces, detuning-error curves, trajectories.
 
-Grid cells are independent pure computations, so sweeps may fan out over a
-thread pool; results are assembled by index and are bitwise identical for
-any worker count.
+Each sweep kind is one row of ``SWEEP_KINDS``: its axes, the gates it
+applies to, and how a cell is realized as physical parameters.  Grid cells
+are independent pure computations, so sweeps may fan out over a thread pool
+of at most the usable cores; results are assembled by index and are bitwise
+identical for any worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ __all__ = [
     "sweep_lambda_gamma",
     "sweep_delta",
     "trajectory",
+    "SWEEP_KINDS",
     "DEFAULT_LAMBDA_VALUES",
     "DEFAULT_DGAMMA_RATIO_VALUES",
     "DEFAULT_DDELTA_RATIO_VALUES",
@@ -72,16 +78,10 @@ class FidelityGrid:
             raise ValueError("fidelities must lie in [0, 1 + 1e-12]")
 
     def to_csv(self) -> str:
-        lines = []
-        if self.axis2 is None:
-            lines.append("axis1,fidelity")
-            for a1, f in zip(self.axis1, self.fidelities[:, 0]):
-                lines.append(f"{a1:.17g},{f:.17g}")
-        else:
-            lines.append("axis1,axis2,fidelity")
-            for i, a1 in enumerate(self.axis1):
-                for j, a2 in enumerate(self.axis2):
-                    lines.append(f"{a1:.17g},{a2:.17g},{self.fidelities[i, j]:.17g}")
+        axes = [a for a in (self.axis1, self.axis2) if a is not None]
+        lines = [",".join([f"axis{k + 1}" for k in range(len(axes))] + ["fidelity"])]
+        lines += [",".join(f"{v:.17g}" for v in (*cell, f))
+                  for cell, f in zip(itertools.product(*axes), self.fidelities.flat)]
         return "\n".join(lines) + "\n"
 
 
@@ -106,7 +106,13 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _grid_map(cells, func, workers: int):
+    # threads beyond the usable cores only contend, each driving a multithreaded BLAS
+    workers = min(workers, _usable_cores())
     if workers <= 1:
         return [func(c) for c in cells]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -121,12 +127,59 @@ def _cell_fidelity(spec: GateSpec, initial: AcsParams, n_atoms: int, overrides) 
     return f
 
 
-def _surface_overrides(spec: GateSpec, lam: float, ratio: float) -> dict[str, float]:
-    return {"gamma_ab": 2.0 * lam, "omega_ab": spec.gamma_g * (1.0 + ratio)}
+class SweepKind(NamedTuple):
+    """One sweep kind: its axes, the gates it applies to, and how a cell is realized."""
+
+    axes: tuple[tuple[str, str, np.ndarray], ...]  # (config key, grid axis name, default values)
+    gates: frozenset[GateId]
+    gates_name: str  # names ``gates`` in error messages
+    # (spec, *cell) -> the run_gate overrides of the cell; the worst fidelity is recorded
+    realize: Callable[..., list[dict[str, float]]]
 
 
-def _delta_overrides(spec: GateSpec, ratio: float) -> list[dict[str, float]]:
-    return [{"delta": spec.delta_g * (1.0 + sign * ratio)} for sign in (1.0, -1.0)]
+SWEEP_KINDS = {
+    "lambda-gamma": SweepKind(
+        (("lambda_values", "lambda", DEFAULT_LAMBDA_VALUES),
+         ("dgamma_ratio_values", "dgamma_over_gamma", DEFAULT_DGAMMA_RATIO_VALUES)),
+        frozenset(GateId), "all gates",
+        lambda spec, lam, r: [{"gamma_ab": 2.0 * lam, "omega_ab": spec.gamma_g * (1.0 + r)}],
+    ),
+    "delta": SweepKind(
+        (("ddelta_ratio_values", "ddelta_over_delta", DEFAULT_DDELTA_RATIO_VALUES),),
+        TRANSFER_GATES, "transfer gates",
+        lambda spec, r: [{"delta": spec.delta_g * (1.0 + sign * r)} for sign in (1.0, -1.0)],
+    ),
+}
+
+
+def _sweep(kind: str, gate: GateId, values, n_atoms: int, initial: AcsParams,
+           workers: int, detuning_factor: float = DEFAULT_DETUNING_FACTOR) -> FidelityGrid:
+    """Run one sweep kind over the product of its axes (None takes an axis's default)."""
+    row = SWEEP_KINDS[kind]
+    if gate not in row.gates:
+        raise ValueError(f"the {kind} sweep applies to {row.gates_name} only, got {gate.value!r}")
+    axes = [np.asarray(default if v is None else v, dtype=float)
+            for v, (_, _, default) in zip(values, row.axes)]
+    if any(a.size == 0 for a in axes):
+        raise ValueError("sweep grids must be non-empty")
+    spec = gate_conditions(gate, 1.0, detuning_factor)
+
+    def one(cell):
+        fs = [_cell_fidelity(spec, initial, n_atoms, o) for o in row.realize(spec, *cell)]
+        return math.nan if any(map(math.isnan, fs)) else min(fs)
+
+    flat = _grid_map(list(itertools.product(*axes)), one, workers)
+    two = len(axes) == 2
+    return FidelityGrid(
+        gate=gate,
+        axis1_name=row.axes[0][1],
+        axis1=axes[0],
+        axis2_name=row.axes[1][1] if two else None,
+        axis2=axes[1] if two else None,
+        fidelities=np.array(flat, dtype=float).reshape(len(axes[0]), -1),
+        n_atoms=n_atoms,
+        initial=initial,
+    )
 
 
 def sweep_lambda_gamma(
@@ -152,33 +205,8 @@ def sweep_lambda_gamma(
     the single-atom (spinor) fidelity; values below ~1e-30 are roundoff of
     the eigen-oracle, not the true overlap.
     """
-    lam = np.asarray(
-        DEFAULT_LAMBDA_VALUES if lambda_values is None else lambda_values, dtype=float
-    )
-    rat = np.asarray(
-        DEFAULT_DGAMMA_RATIO_VALUES if dgamma_ratio_values is None else dgamma_ratio_values,
-        dtype=float,
-    )
-    if lam.size == 0 or rat.size == 0:
-        raise ValueError("sweep grids must be non-empty")
-    spec = gate_conditions(gate, 1.0, detuning_factor)
-    cells = [(lv, rv) for lv in lam for rv in rat]
-
-    def one(cell):
-        return _cell_fidelity(spec, initial, n_atoms, _surface_overrides(spec, *cell))
-
-    flat = _grid_map(cells, one, workers)
-    grid = np.array(flat, dtype=float).reshape(len(lam), len(rat))
-    return FidelityGrid(
-        gate=gate,
-        axis1_name="lambda",
-        axis1=lam,
-        axis2_name="dgamma_over_gamma",
-        axis2=rat,
-        fidelities=grid,
-        n_atoms=n_atoms,
-        initial=initial,
-    )
+    return _sweep("lambda-gamma", gate, (lambda_values, dgamma_ratio_values), n_atoms, initial,
+                  workers, detuning_factor)
 
 
 def sweep_delta(
@@ -199,34 +227,7 @@ def sweep_delta(
     F1 is the single-atom (spinor) fidelity; values below ~1e-30 are
     roundoff of the eigen-oracle, not the true overlap.
     """
-    if gate not in TRANSFER_GATES:
-        raise ValueError(
-            f"detuning sweep applies to transfer gates only, got {gate.value!r}"
-        )
-    rat = np.asarray(
-        DEFAULT_DDELTA_RATIO_VALUES if ddelta_ratio_values is None else ddelta_ratio_values,
-        dtype=float,
-    )
-    if rat.size == 0:
-        raise ValueError("sweep grids must be non-empty")
-    spec = gate_conditions(gate, 1.0)
-
-    def one(rv):
-        fs = [_cell_fidelity(spec, initial, n_atoms, o) for o in _delta_overrides(spec, rv)]
-        return math.nan if any(map(math.isnan, fs)) else min(fs)
-
-    flat = _grid_map(list(rat), one, workers)
-    grid = np.array(flat, dtype=float).reshape(len(rat), 1)
-    return FidelityGrid(
-        gate=gate,
-        axis1_name="ddelta_over_delta",
-        axis1=rat,
-        axis2_name=None,
-        axis2=None,
-        fidelities=grid,
-        n_atoms=n_atoms,
-        initial=initial,
-    )
+    return _sweep("delta", gate, (ddelta_ratio_values,), n_atoms, initial, workers)
 
 
 def trajectory(

@@ -402,6 +402,19 @@ def test_bad_input_exits_two_naming_field(tmp_path, capsys, command, config, fla
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["c.json"])
 
 
+def test_sweep_cell_overflow_exits_two_naming_both_fields(tmp_path, capsys):
+    # each value alone realizes a finite cell; only their combination overflows the phase bound
+    cfg = write_config(tmp_path, "c.json", {
+        "kind": "lambda-gamma", "gate": "not", "n_atoms": 100,
+        "lambda_values": [1e304], "dgamma_ratio_values": [2.5e305],
+    })
+    code, _, err = run(capsys, "sweep", "--config", cfg, "--output", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "field 'lambda_values[0]'" in err and "field 'dgamma_ratio_values[0]'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_failed_write_leaves_neither_file(tmp_path, capsys, monkeypatch):
     write_text = pathlib.Path.write_text
 

@@ -82,6 +82,19 @@ def test_workers_do_not_change_results():
     assert np.array_equal(d1.fidelities, d3.fidelities)
 
 
+def test_pool_capped_at_usable_cores(monkeypatch):
+    lam, rat = [0.0, 0.005], [0.0, 0.1]
+    serial = sweep_lambda_gamma(GateId.NOT, lam, rat, 8, INITIAL, workers=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one usable core")
+
+    monkeypatch.setattr("becgates.sweeps._usable_cores", lambda: 1)
+    monkeypatch.setattr("becgates.sweeps.ThreadPoolExecutor", no_pool)
+    capped = sweep_lambda_gamma(GateId.NOT, lam, rat, 8, INITIAL, workers=3)
+    assert np.array_equal(capped.fidelities, serial.fidelities)
+
+
 def test_empty_grid_rejected():
     with pytest.raises(ValueError, match="non-empty"):
         sweep_lambda_gamma(GateId.NOT, [], [0.0], 5, INITIAL)
