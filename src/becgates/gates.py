@@ -20,9 +20,9 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .evolve import evolve_oracle
+from .evolve import evolve_oracle, qubit_propagator
 from .fock import AcsParams, StateVector, acs_from_spinor, acs_state
-from .params import PhysicalParams
+from .params import PhysicalParams, derive_params
 
 __all__ = [
     "GateId",
@@ -187,15 +187,45 @@ def run_gate(
     """Evolve an initial ACS through one gate and score it against the target.
 
     The N-particle target is the ACS whose spinor is spec.target applied to
-    initial.spinor; the evolved state comes from the exact oracle, so
-    deviations from ideal conditions (via overrides) show up directly in the
-    returned fidelity.
+    initial.spinor, so deviations from ideal conditions (via overrides) show
+    up directly in the returned fidelity.
+
+    At zero nonlinearity (lambda_nl exactly 0) the dynamics is an SU(2)
+    rotation of every atom's spinor, so an ACS stays an ACS (Arecchi et al.,
+    PRA 6, 2211, 1972): the state is built in closed form from the 2x2
+    propagator, global phase included, and the fidelity is F1**N, where F1
+    is the single-atom (spinor) fidelity.  It is exact down to float
+    underflow near 1e-308.  Otherwise the state comes from the eigen-oracle,
+    whose roundoff puts a floor near 1e-30 under the fidelity.
     """
     p = params_for_gate(spec, n_atoms, overrides)
+    dp = derive_params(p)
+    if dp.lambda_nl == 0.0:
+        return _run_gate_rotation(p, dp.eta, spec, initial.spinor)
     s0 = acs_state(initial, n_atoms)
     final = evolve_oracle(p, s0, spec.t_gate)
     target_state = acs_from_spinor(*(spec.target @ initial.spinor), n_atoms)
     return final, fidelity(target_state, final)
+
+
+def _run_gate_rotation(
+    p: PhysicalParams, eta: float, spec: GateSpec, spinor: np.ndarray
+) -> tuple[StateVector, float]:
+    """run_gate at lambda_nl = 0: the ACS of the rotated spinor and F1**N."""
+    n = p.n_atoms
+    t = spec.t_gate
+    w = qubit_propagator(p, t) @ spinor
+    target = spec.target @ spinor
+    f1 = abs(np.vdot(target, w)) ** 2 / (np.vdot(target, target).real * np.vdot(w, w).real)
+    # The state is e^{-i eta t} sqrt(C(N,k)) r0^(N-k) r1^k with r = e^{i eta t} w, the
+    # single-atom rotation; acs_from_spinor drops the phase of r0^N (taking it as 1
+    # when r0 = 0, where the state is the pole k = N), so it is restored here.
+    r0 = w[0] * cmath.exp(1j * eta * t)
+    arg0 = cmath.phase(r0) if r0 else 0.0
+    final = acs_from_spinor(*w, n)
+    final.amplitudes *= cmath.exp(1j * (n * arg0 - eta * t))
+    # roundoff can put F1 a few ulps above 1, which the power N would amplify
+    return final, min(float(f1), 1.0) ** n
 
 
 def up_to_phase_deviation(u: np.ndarray, target: np.ndarray) -> float:

@@ -250,6 +250,15 @@ def test_criterion_5_detuning_robustness_production():
         _fig3_assertions(1000)
 
 
+def test_detuning_cells_exact_below_the_eigensolver_floor():
+    # lambda = 0 cells come from the 2x2 propagator, so F1**N is readable far
+    # below the ~1e-30 roundoff floor of a dense eigensolve
+    grid = sweep_delta(GateId.NOT, [0.2], 1000, FIG_INITIAL)
+    exact = _qubit_fidelity(GateId.NOT, 0.2) ** 1000
+    assert 1e-120 < exact < 1e-115
+    assert abs(grid.fidelities[0, 0] - exact) <= 1e-9 * exact
+
+
 # ---------------------------------------------------------------------------
 # 6. nonlinearity/frequency-scattering surfaces
 

@@ -1,4 +1,4 @@
-"""Differential property tests of the eigen-oracle against the other engines.
+"""Differential property tests of the engines against each other.
 
 Hypothesis draws parameter sets with N <= 32; ``derandomize`` makes every
 run test the same examples.  A 50-digit mpmath matrix exponential of the
@@ -23,9 +23,10 @@ from becgates.evolve import (
     rotating_frame_hamiltonian,
     spectral_radius_bound,
 )
-from becgates.fock import AcsParams, acs_from_spinor, acs_state, pseudo_spin_matrices
-from becgates.gates import GateId, gate_conditions, params_for_gate, run_gate
+from becgates.fock import AcsParams, acs_from_spinor, acs_state, bloch_vector, pseudo_spin_matrices
+from becgates.gates import GateId, fidelity, gate_conditions, params_for_gate, run_gate
 from becgates.params import PhysicalParams, derive_params
+from becgates.sweeps import trajectory
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -230,3 +231,65 @@ def test_run_gate_fidelity_is_qubit_fidelity_to_the_n(gate, initial, n, ddelta, 
     u = qubit_propagator(params_for_gate(spec, n, overrides), spec.t_gate)
     f1 = abs(np.vdot(spec.target @ spinor, u @ spinor)) ** 2
     assert abs(f - f1**n) <= 1e-12
+
+
+# The closed-form lambda = 0 paths of run_gate and trajectory against the oracle.
+gate_cells = (st.sampled_from(list(GateId)), states, st.integers(1, 32), st.floats(-0.3, 0.3),
+              st.floats(-0.3, 0.3))
+
+
+def gate_cell(gate, n, ddelta, dgamma):
+    spec = gate_conditions(gate, 1.0)
+    overrides = {"delta": spec.delta_g * (1.0 + ddelta), "omega_ab": spec.gamma_g * (1.0 + dgamma)}
+    return spec, overrides, params_for_gate(spec, n, overrides)
+
+
+@PROPERTY
+@given(*gate_cells)
+@example(GateId.NOT, AcsParams(theta=0.0, phi=0.0), 17, 0.1, -0.2)
+@example(GateId.HADAMARD, AcsParams(theta=math.pi, phi=2.5), 17, -0.1, 0.2)
+@example(GateId.Y, AcsParams(theta=math.pi, phi=0.0), 32, 0.0, 0.0)
+def test_run_gate_state_at_zero_lambda_matches_oracle_and_analytic_propagator(
+        gate, initial, n, ddelta, dgamma):
+    spec, overrides, p = gate_cell(gate, n, ddelta, dgamma)
+    assert derive_params(p).lambda_nl == 0.0
+    state, _ = run_gate(spec, initial, n, overrides)
+    s0 = acs_state(initial, n)
+    # both references carry the global phase
+    assert np.max(np.abs(state.amplitudes - evolve_oracle(p, s0, spec.t_gate).amplitudes)) < 1e-9
+    analytic = full_propagator_analytic(p, spec.t_gate) @ s0.amplitudes
+    assert np.max(np.abs(state.amplitudes - analytic)) < 1e-9
+
+
+@PROPERTY
+@given(*gate_cells)
+def test_run_gate_fidelity_at_zero_lambda_matches_oracle(gate, initial, n, ddelta, dgamma):
+    spec, overrides, p = gate_cell(gate, n, ddelta, dgamma)
+    oracle = evolve_oracle(p, acs_state(initial, n), spec.t_gate)
+    reference = fidelity(acs_from_spinor(*(spec.target @ initial.spinor), n), oracle)
+    assume(reference > 1e-25)  # below it the oracle's roundoff floor is near
+    _, f = run_gate(spec, initial, n, overrides)
+    assert abs(f - reference) <= 1e-12
+
+
+@st.composite
+def zero_lambda_params(draw):
+    """Zero nonlinearity with equal collision strengths, or with gamma_a != gamma_b."""
+    p = draw(params(zero_lambda=True))
+    if draw(st.booleans()):  # (2c + 0 - 2c)/4 is exactly 0 as well
+        p = replace(p, gamma_a=2.0 * p.gamma_ab, gamma_b=0.0)
+    return p
+
+
+@PROPERTY
+@given(zero_lambda_params(), states, st.floats(0.1, 4.0), st.integers(2, 9))
+@example(PhysicalParams(omega_a=0.7, omega_b=-0.3, gamma_a=0.08, gamma_b=0.0, gamma_ab=0.04,
+                        g=1.1, delta=-0.5, n_atoms=25),
+         AcsParams(theta=1.2, phi=0.4), 3.0, 7)
+def test_trajectory_at_zero_lambda_matches_oracle(p, initial, t_final, n_samples):
+    assert derive_params(p).lambda_nl == 0.0
+    tr = trajectory(p, initial, t_final, n_samples)
+    evolved = evolve_oracle_at_times(p, acs_state(initial, p.n_atoms), tr.times)
+    for point, s in zip(tr.points, evolved):
+        ref = bloch_vector(s)
+        assert max(abs(point.x - ref.x), abs(point.y - ref.y), abs(point.z - ref.z)) < 1e-12

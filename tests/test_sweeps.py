@@ -143,6 +143,15 @@ def test_delta_sweep_records_worst_sign():
     assert grid.fidelities[0, 0] == min(fs)
 
 
+def test_delta_sweep_ideal_point_stays_at_most_one_at_large_n():
+    # F1 can round a few ulps above 1, and F1**N at N = 1e5 would carry that
+    # past the grid's 1 + 1e-12 check; Hadamard from theta = 0 does
+    for gate in (GateId.NOT, GateId.Y, GateId.HADAMARD):
+        for theta in (0.0, math.pi / 8, 3 * math.pi / 8):
+            f = sweep_delta(gate, [0.0], 10**5, AcsParams(theta=theta, phi=0.0)).fidelities[0, 0]
+            assert 1.0 - 1e-9 <= f <= 1.0, (gate, theta, f)
+
+
 def test_delta_sweep_transfer_only():
     with pytest.raises(ValueError, match="transfer"):
         sweep_delta(GateId.Z, [0.0], 5, INITIAL)
