@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .evolve import evolve_oracle_at_times, qubit_propagator
+from .evolve import evolve_oracle_at_times
 from .fock import AcsParams, BlochVector, bloch_vector, acs_state
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
@@ -28,7 +28,7 @@ from .gates import (
     gate_conditions,
     run_gate,
 )
-from .params import PhysicalParams, ValidationError, derive_params
+from .params import PhysicalParams, ValidationError
 
 __all__ = [
     "FidelityGrid",
@@ -235,26 +235,12 @@ def sweep_delta(
 def trajectory(
     p: PhysicalParams, initial: AcsParams, t_final: float, n_samples: int
 ) -> Trajectory:
-    """Bloch vectors of the evolved state at uniformly spaced times.
-
-    At zero nonlinearity (lambda_nl exactly 0) the state stays an ACS, whose
-    Bloch vector is that of its spinor (a, b): (2 Re a'b, 2 Im a'b,
-    |a|^2 - |b|^2), with (a, b) from the 2x2 propagator.  Otherwise the
-    state comes from the eigen-oracle.
-    """
+    """Bloch vectors of the oracle-evolved state at uniformly spaced times."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
     if t_final <= 0:
         raise ValueError(f"t_final must be > 0, got {t_final!r}")
     times = np.linspace(0.0, t_final, n_samples)
-    if derive_params(p).lambda_nl == 0.0:
-        spinor = initial.spinor
-        points = []
-        for t in times:
-            a, b = qubit_propagator(p, t) @ spinor
-            ab = a.conjugate() * b
-            points.append(BlochVector(2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2))
-        return Trajectory(times=times, points=points)
     s0 = acs_state(initial, p.n_atoms)
     states = evolve_oracle_at_times(p, s0, times)
     return Trajectory(times=times, points=[bloch_vector(s) for s in states])
