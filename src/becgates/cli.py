@@ -121,11 +121,36 @@ def _phase_rate(p) -> float:
         return spectral_radius_bound(p) + abs(p.delta) * p.n_atoms
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not tell."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
+def _check_solver_memory(field: str, n_atoms: int, n_samples: int = 0) -> None:
+    """Reject an eigensolve whose arrays cannot fit in physical memory.
+
+    The solve holds two (N+1)^2 float64 arrays, and a trajectory n_samples
+    complex states of N+1 amplitudes besides.
+    """
+    need = 16 * (n_atoms + 1) * (n_atoms + 1 + n_samples)
+    memory = _physical_memory()
+    if need > memory:
+        samples = f" and {n_samples} samples" if n_samples else ""
+        raise ValidationError(
+            f"field '{field}': the eigensolve at n_atoms = {n_atoms}{samples} needs about "
+            f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _params_and_initial(cfg: dict, time_key: str):
     """The 'params' and 'initial' fields that evolve and trajectory share, and their time."""
     if not isinstance(cfg.get("params"), dict):
         _reject("params", cfg.get("params"), "an object with the parameter keys")
     p = params_from_dict(cfg["params"])
+    _check_solver_memory("n_atoms", p.n_atoms)
     rate = _phase_rate(p)
     if not math.isfinite(rate):
         raise ValidationError("field 'params': the Hamiltonian's entries overflow")
@@ -144,6 +169,7 @@ def _resolve_evolve(cfg: dict):
 def _resolve_trajectory(cfg: dict):
     p, initial, t_final, resolved = _params_and_initial(cfg, "t_final")
     n_samples = resolved["n_samples"] = _integer("n_samples", cfg.get("n_samples", 101), 2)
+    _check_solver_memory("n_samples", p.n_atoms, n_samples)
     return resolved, None, lambda: trajectory(p, initial, t_final, n_samples).to_csv()
 
 
@@ -195,6 +221,8 @@ def _resolve_sweep(cfg: dict):
         raise ValidationError(f"field 'detuning_factor': {exc}") from None
     axes = {key: _axis(key, cfg.get(key, default.tolist())).tolist()
             for key, _, default in row.axes}
+    if any(axes.get("lambda_values", [])):  # lambda = 0 cells take the closed form, no solve
+        _check_solver_memory("n_atoms", n_atoms)
     _check_cells(spec, n_atoms, row.realize, axes)
     resolved.update(axes)
     provenance = {

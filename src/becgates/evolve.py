@@ -7,8 +7,11 @@ Three independent routes compute the same dynamics:
 * :func:`full_propagator_analytic` -- the analytic (N+1)-dimensional
   propagator U(t) V exp(-i H_V t) V', exact when the nonlinear parameter
   vanishes.
-* :func:`evolve_oracle` -- exact eigendecomposition of the time-independent,
-  real symmetric rotating-frame Hamiltonian H_U, valid for any nonlinearity.
+* :func:`evolve_oracle` -- exact eigendecomposition of the time-independent
+  rotating-frame Hamiltonian H_U, valid for any nonlinearity.  H_U is real
+  symmetric tridiagonal, and LAPACK's divide-and-conquer ``dstevd`` from the
+  OpenBLAS that numpy bundles solves it; where numpy bundles no such library,
+  or LAPACK reports a failure, the dense ``np.linalg.eigh`` does instead.
 
 :func:`evolve_rk4` integrates the original explicitly time-dependent
 Hamiltonian and serves as an independent cross-check of the oracle; the
@@ -17,8 +20,11 @@ three production engines share no evolution code path.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -133,6 +139,57 @@ def spectral_radius_bound(p: PhysicalParams) -> float:
     return float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0))
 
 
+@functools.cache
+def _dstevd():
+    """LAPACK dstevd from the scipy-openblas ILP64 library bundled with numpy, or None.
+
+    numpy reports the library's name and integer width; its symbols then carry
+    the prefix ``scipy_`` and the suffix ``64_``.  Any other build (a 32-bit
+    integer LAPACK, MKL, Accelerate) finds None, and the dense solve runs.
+    """
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        ilp64 = "USE64BITINT" in lapack["openblas configuration"]
+        if lapack["name"] != "scipy-openblas" or not ilp64:
+            return None
+        root = Path(np.__file__).parent
+        (path,) = [*root.parent.glob("numpy.libs/libscipy_openblas64_*"),
+                   *root.glob(".dylibs/libscipy_openblas64_*")]
+        func = ctypes.CDLL(str(path)).scipy_dstevd_64_
+    except (AttributeError, KeyError, OSError, TypeError, ValueError):
+        return None
+    double, int64 = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.float64, np.int64))
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    # jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info, and the hidden length of jobz
+    func.argtypes = [ctypes.c_char_p, i64, double, double, double, i64, double, i64, int64, i64,
+                     i64, ctypes.c_size_t]
+    func.restype = None
+    return func
+
+
+def _tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and column eigenvectors of the real symmetric tridiagonal matrix."""
+    n = len(diag)
+    dstevd = _dstevd()
+    if dstevd is not None:
+        # fresh arrays on every call, so that threads may solve at once
+        evals = np.array(diag, dtype=np.float64)
+        e = np.zeros(max(1, n - 1))
+        e[: n - 1] = off
+        z = np.empty((n, n))  # LAPACK writes eigenvector j to column j, here row j
+        lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+        info = ctypes.c_int64()
+        dstevd(b"V", ctypes.c_int64(n), evals, e, z, ctypes.c_int64(n), np.empty(lwork),
+               ctypes.c_int64(lwork), np.empty(liwork, dtype=np.int64), ctypes.c_int64(liwork),
+               info, 1)
+        if info.value == 0:
+            return evals, z.T
+    h = np.diag(diag)
+    kk = np.arange(n - 1)
+    h[kk, kk + 1] = h[kk + 1, kk] = off
+    return np.linalg.eigh(h)
+
+
 def _check_state(p: PhysicalParams, s0: StateVector) -> None:
     if s0.n_atoms != p.n_atoms:
         raise ValueError(
@@ -148,7 +205,9 @@ def evolve_oracle(p: PhysicalParams, s0: StateVector, t: float) -> StateVector:
 
     Returns U(t) exp(-i H_U t) s0 where H_U is the rotating-frame Hamiltonian
     and U(t) = exp(-i delta t (n_a - n_b)/2) restores the lab frame.  The
-    matrix exponential is computed by eigendecomposition of the real symmetric H_U.
+    matrix exponential is computed by eigendecomposition of the real symmetric
+    tridiagonal H_U: LAPACK ``dstevd``, or the dense ``np.linalg.eigh`` where
+    that is unavailable or fails.
     """
     return evolve_oracle_at_times(p, s0, [t])[0]
 
@@ -156,12 +215,8 @@ def evolve_oracle(p: PhysicalParams, s0: StateVector, t: float) -> StateVector:
 def evolve_oracle_at_times(p: PhysicalParams, s0: StateVector, times) -> list[StateVector]:
     """Oracle evolution sampled at several times with one eigendecomposition."""
     _check_state(p, s0)
-    diag, off = rotating_frame_hamiltonian(p)
     n = p.n_atoms
-    h = np.diag(diag)
-    kk = np.arange(n)
-    h[kk, kk + 1] = h[kk + 1, kk] = off
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = _tridiagonal_eigh(*rotating_frame_hamiltonian(p))
     coeffs = evecs.T @ s0.amplitudes
     dn = n - 2.0 * np.arange(n + 1)
     out = []

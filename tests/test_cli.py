@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from becgates import cli
 from becgates.cli import main
 from becgates.fock import state_from_csv
 
@@ -413,6 +414,43 @@ def test_sweep_cell_overflow_exits_two_naming_both_fields(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "field 'lambda_values[0]'" in err and "field 'dgamma_ratio_values[0]'" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "command,config,field",
+    [
+        ("evolve", {"params": {**PARAMS_NOT, "n_atoms": 1000}}, "n_atoms"),
+        ("trajectory", {"params": {**PARAMS_NOT, "n_atoms": 1000}}, "n_atoms"),
+        ("trajectory", {"n_samples": 10**5}, "n_samples"),
+        ("sweep", {"n_atoms": 1000, "lambda_values": [0.0, 0.01]}, "n_atoms"),
+    ],
+    ids=["evolve", "trajectory", "trajectory-samples", "sweep-nonzero-lambda"],
+)
+def test_solver_footprint_beyond_memory_exits_two(tmp_path, capsys, monkeypatch, command, config,
+                                                  field):
+    # 1 MB of physical memory: N = 1000 needs 16 MB for the solve, nothing is allocated
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1e6)
+    path = write_config(tmp_path, "c.json", {**BAD_INPUT_BASE[command], **config})
+    code, _, err = run(capsys, command, "--config", path, "--output", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert err.count("\n") == 1 and f"field '{field}'" in err and "physical memory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "delta", "gate": "not", "n_atoms": 1000, "ddelta_ratio_values": [0.1]},
+        {"kind": "lambda-gamma", "gate": "z", "n_atoms": 1000, "lambda_values": [0.0],
+         "dgamma_ratio_values": [0.0]},
+    ],
+    ids=["delta", "lambda-gamma-zero-lambda"],
+)
+def test_closed_form_sweeps_need_no_memory_guard(tmp_path, capsys, monkeypatch, config):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1e6)
+    path = write_config(tmp_path, "c.json", config)
+    code, _, err = run(capsys, "sweep", "--config", path, "--output", str(tmp_path / "o.csv"))
+    assert code == 0, err
 
 
 def test_failed_write_leaves_neither_file(tmp_path, capsys, monkeypatch):

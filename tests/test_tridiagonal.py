@@ -1,0 +1,148 @@
+"""The tridiagonal eigensolver behind the oracle, its dense fallback, and a Chebyshev check.
+
+The oracle solves H_U with LAPACK ``dstevd`` where numpy bundles an ILP64
+scipy-openblas, and with the dense ``np.linalg.eigh`` otherwise.  Both paths
+must agree, and both must agree with the Chebyshev propagator of
+``chebyshev.py`` at the production size N = 1000, where RK4 and mpmath cannot
+reach.
+"""
+
+import math
+from unittest import mock
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from becgates import evolve
+from becgates.evolve import evolve_oracle
+from becgates.fock import AcsParams, acs_state
+from becgates.gates import GateId, gate_conditions, params_for_gate
+from chebyshev import bands, bessel_j, chebyshev_evolve
+
+EPS = np.finfo(float).eps
+
+
+def dense_path():
+    """Patch out the LAPACK probe, as on a numpy build without scipy-openblas ILP64."""
+    return mock.patch.object(evolve, "_dstevd", lambda: None)
+
+
+def count_dense_solves(monkeypatch) -> list:
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def random_bands(size: int):
+    rng = np.random.default_rng(size)
+    return rng.normal(size=size), rng.normal(size=size - 1)
+
+
+def nonlinear_cell(n: int):
+    spec = gate_conditions(GateId.NOT, 1.0)
+    p = params_for_gate(spec, n, {"gamma_ab": 0.04, "omega_ab": 1.1 * spec.gamma_g})
+    return p, acs_state(AcsParams(theta=math.pi / 8.0, phi=0.3), n), spec.t_gate
+
+
+def _reference_build() -> bool:
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    return lapack["name"] == "scipy-openblas" and "USE64BITINT" in lapack["openblas configuration"]
+
+
+@pytest.mark.skipif(not _reference_build(), reason="numpy does not bundle scipy-openblas ILP64")
+def test_probe_finds_dstevd_on_the_reference_build():
+    # the reference numpy build must not fall back to the dense solve unnoticed
+    assert evolve._dstevd() is not None
+    assert evolve._dstevd().__name__ == "scipy_dstevd_64_"
+
+
+def test_dense_path_runs_when_the_probe_fails(monkeypatch):
+    p, s0, t = nonlinear_cell(20)
+    fast = evolve_oracle(p, s0, t).amplitudes
+    calls = count_dense_solves(monkeypatch)
+    monkeypatch.setattr(evolve, "_dstevd", lambda: None)
+    dense = evolve_oracle(p, s0, t).amplitudes
+    assert calls == [(21, 21)]
+    assert np.max(np.abs(dense - fast)) <= 1e-12
+
+
+def test_dense_path_runs_when_lapack_reports_failure(monkeypatch):
+    failed = []
+
+    def failing_dstevd(*args):  # args[10] is INFO
+        args[10].value = 1
+        failed.append(True)
+
+    p, s0, t = nonlinear_cell(20)
+    fast = evolve_oracle(p, s0, t).amplitudes
+    calls = count_dense_solves(monkeypatch)
+    monkeypatch.setattr(evolve, "_dstevd", lambda: failing_dstevd)
+    dense = evolve_oracle(p, s0, t).amplitudes
+    assert failed == [True] and calls == [(21, 21)]
+    assert np.max(np.abs(dense - fast)) <= 1e-12
+
+
+@pytest.mark.parametrize("size", [1, 2, 100, 1000])  # size 1 has an empty off-diagonal
+def test_both_paths_agree_on_eigenvalues(size):
+    diag, off = random_bands(size)
+    evals, evecs = evolve._tridiagonal_eigh(diag, off)
+    with dense_path():
+        dense_evals, _ = evolve._tridiagonal_eigh(diag, off)
+    assert evals.shape == (size,) and evecs.shape == (size, size)
+    assert np.max(np.abs(evals - dense_evals)) <= 1e-12
+    h = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.max(np.abs(h @ evecs - evecs * evals)) <= 1e-12
+    assert np.max(np.abs(evecs.T @ evecs - np.eye(size))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 1000])
+def test_both_paths_agree_on_propagated_states(n):
+    p, s0, t = nonlinear_cell(n)
+    fast = evolve.evolve_oracle_at_times(p, s0, [0.0, 0.5 * t, t])
+    with dense_path():
+        dense = evolve.evolve_oracle_at_times(p, s0, [0.0, 0.5 * t, t])
+    for a, b in zip(fast, dense):
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [0.5, 7.0, 100.0, 900.0])
+def test_miller_bessel_coefficients_match_mpmath(x):
+    j = bessel_j(x)
+    assert abs(j[-1]) > 1e-20 and len(j) > x
+    for k in sorted({0, 1, int(x) // 2, int(x), len(j) - 1}):
+        assert abs(j[k] - float(mpmath.besselj(k, x, maxprec=20000))) <= 1e-15
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(
+    st.sampled_from(list(GateId)),
+    st.integers(1, 1000),
+    st.floats(1e-4, 0.02),  # lambda, in units of g
+    st.floats(-0.2, 0.2),  # relative shift of gamma
+    st.floats(-0.3, 0.3),  # relative error of delta
+    st.floats(0.0, math.pi),
+)
+@example(GateId.NOT, 1000, 0.02, 0.1, 0.0, math.pi / 8.0)
+def test_oracle_matches_chebyshev_propagator_at_gate_time(gate, n, lam, dgamma, ddelta, theta):
+    spec = gate_conditions(gate, 1.0)
+    p = params_for_gate(spec, n, {"gamma_ab": 2.0 * lam, "omega_ab": spec.gamma_g * (1.0 + dgamma),
+                                  "delta": spec.delta_g * (1.0 + ddelta)})
+    s0 = acs_state(AcsParams(theta=theta, phi=0.7), n)
+    ref, terms = chebyshev_evolve(p, s0.amplitudes, spec.t_gate)
+    # roundoff grows with the terms summed in the expansion, and with the phase |E| t
+    # of the oracle's eigenvalues; scaling the oracle's coupling by 1 + 1e-6 moves the
+    # N = 1000 example by 1.8e-5, five orders above its tol
+    diag, off = bands(p)
+    phase = (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)) * spec.t_gate
+    tol = 16.0 * EPS * (terms + phase)
+    assert np.max(np.abs(evolve_oracle(p, s0, spec.t_gate).amplitudes - ref)) <= tol
+    with dense_path():
+        assert np.max(np.abs(evolve_oracle(p, s0, spec.t_gate).amplitudes - ref)) <= tol
