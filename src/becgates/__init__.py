@@ -16,6 +16,7 @@ from .evolve import (
     full_propagator_analytic,
     evolve_oracle,
     evolve_oracle_at_times,
+    evolve_oracle_bloch,
     evolve_rk4,
     rotating_frame_hamiltonian,
     spectral_radius_bound,

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolve import evolve_oracle, qubit_propagator, spectral_radius_bound
+from .evolve import _BLOCK, evolve_oracle, qubit_propagator, spectral_radius_bound
 from .fock import AcsParams, acs_state, state_to_csv
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
@@ -129,13 +129,19 @@ def _physical_memory() -> float:
         return math.inf
 
 
+_ROW_BYTES = 512  # a trajectory sample's Bloch row, BlochVector and CSV line (traced: under 500)
+
+
 def _check_solver_memory(field: str, n_atoms: int, n_samples: int = 0) -> None:
     """Reject an eigensolve whose arrays cannot fit in physical memory.
 
-    The solve holds two (N+1)^2 float64 arrays, and a trajectory n_samples
-    complex states of N+1 amplitudes besides.
+    The solve holds two (N+1)^2 float64 arrays.  A trajectory propagates one
+    block of times at once, with at most eight complex arrays of N+1
+    amplitudes per time of the block alive, and keeps only its output rows
+    per sample.
     """
-    need = 16 * (n_atoms + 1) * (n_atoms + 1 + n_samples)
+    block = min(n_samples, _BLOCK)
+    need = 16 * (n_atoms + 1) * (n_atoms + 1 + 8 * block) + _ROW_BYTES * n_samples
     memory = _physical_memory()
     if need > memory:
         samples = f" and {n_samples} samples" if n_samples else ""

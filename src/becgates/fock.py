@@ -148,17 +148,20 @@ def pseudo_spin_matrices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return jx, jy, jz
 
 
-def bloch_vector(s: StateVector) -> BlochVector:
-    """Normalized pseudo-spin mean values (<Jx>/N, <Jy>/N, <Jz>/N)."""
-    n = s.n_atoms
-    amps = s.amplitudes
+def _bloch_rows(amps: np.ndarray) -> np.ndarray:
+    """(<Jx>, <Jy>, <Jz>)/N of the amplitude vectors along the last axis, on a new last axis."""
+    n = amps.shape[-1] - 1
     k = np.arange(n)
     off = np.sqrt((n - k) * (k + 1.0))
-    raising = complex(np.sum(np.conj(amps[:-1]) * off * amps[1:]))  # <a'b>
-    jx = 2.0 * raising.real
-    jy = 2.0 * raising.imag
-    jz = float(np.sum((n - 2.0 * np.arange(n + 1)) * np.abs(amps) ** 2))
-    return BlochVector(x=jx / n, y=jy / n, z=jz / n)
+    raising = np.sum(np.conj(amps[..., :-1]) * off * amps[..., 1:], axis=-1)  # <a'b>
+    jz = np.sum((n - 2.0 * np.arange(n + 1)) * np.abs(amps) ** 2, axis=-1)
+    return np.stack((2.0 * raising.real, 2.0 * raising.imag, jz), axis=-1) / n
+
+
+def bloch_vector(s: StateVector) -> BlochVector:
+    """Normalized pseudo-spin mean values (<Jx>/N, <Jy>/N, <Jz>/N)."""
+    x, y, z = _bloch_rows(s.amplitudes).tolist()
+    return BlochVector(x=x, y=y, z=z)
 
 
 def state_to_csv(s: StateVector) -> str:

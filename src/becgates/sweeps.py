@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .evolve import evolve_oracle_at_times
-from .fock import AcsParams, BlochVector, bloch_vector, acs_state
+from .evolve import evolve_oracle_bloch
+from .fock import AcsParams, BlochVector, acs_state
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
     GateId,
@@ -235,12 +235,16 @@ def sweep_delta(
 def trajectory(
     p: PhysicalParams, initial: AcsParams, t_final: float, n_samples: int
 ) -> Trajectory:
-    """Bloch vectors of the oracle-evolved state at uniformly spaced times."""
+    """Bloch vectors of the oracle-evolved state at uniformly spaced times.
+
+    The states are propagated in blocks from one eigendecomposition and each
+    block is reduced to its Bloch vectors at once, so no state is kept per
+    sample.
+    """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
-    if t_final <= 0:
-        raise ValueError(f"t_final must be > 0, got {t_final!r}")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
     times = np.linspace(0.0, t_final, n_samples)
-    s0 = acs_state(initial, p.n_atoms)
-    states = evolve_oracle_at_times(p, s0, times)
-    return Trajectory(times=times, points=[bloch_vector(s) for s in states])
+    rows = evolve_oracle_bloch(p, acs_state(initial, p.n_atoms), times)
+    return Trajectory(times=times, points=[BlochVector(x, y, z) for x, y, z in rows.tolist()])

@@ -437,6 +437,15 @@ def test_solver_footprint_beyond_memory_exits_two(tmp_path, capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+def test_memory_guard_counts_a_trajectory_as_one_block_and_its_rows(monkeypatch):
+    # 64 MB: at N = 1000 the solve and one block of times take about 32 MB, and 5,000
+    # samples add their rows; 5,000 states of 16 (N+1) bytes would take 80 MB
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 64e6)
+    cli._check_solver_memory("n_samples", 1000, 5000)
+    with pytest.raises(cli.ValidationError, match="field 'n_samples'.*physical memory"):
+        cli._check_solver_memory("n_samples", 1000, 200_000)
+
+
 @pytest.mark.parametrize(
     "config",
     [

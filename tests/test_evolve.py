@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from becgates import evolve
 from becgates.evolve import (
     evolve_oracle,
     evolve_oracle_at_times,
+    evolve_oracle_bloch,
     evolve_rk4,
     full_propagator_analytic,
     qubit_propagator,
@@ -241,6 +244,40 @@ def test_oracle_preserves_acs_bloch_length_at_zero_lambda():
     s0 = acs_state(AcsParams(theta=1.1, phi=0.4), 40)
     for s in evolve_oracle_at_times(p, s0, np.linspace(0.0, 6.0, 7)):
         assert abs(bloch_vector(s).length() - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+def test_oracle_rejects_bad_times_before_solving(monkeypatch, bad):
+    def no_solve(diag, off):
+        raise AssertionError("the eigensolve ran before the times were checked")
+
+    monkeypatch.setattr(evolve, "_tridiagonal_eigh", no_solve)
+    p = make_params(n_atoms=3)
+    s0 = acs_state(AcsParams(theta=0.3, phi=0.0), 3)
+    first = re.escape(f"must be finite and >= 0, got {bad!r}") + "$"
+    with pytest.raises(ValueError, match=first):
+        evolve_oracle(p, s0, bad)
+    # the first bad time is named, wherever it sits and whatever follows it
+    times = [0.0, 1.0, bad, -2.0, math.nan]
+    with pytest.raises(ValueError, match=first):
+        evolve_oracle_at_times(p, s0, times)
+    with pytest.raises(ValueError, match=first):
+        evolve_oracle_bloch(p, s0, times)
+
+
+def test_oracle_bloch_rows_match_bloch_vector_of_each_state():
+    rng = np.random.default_rng(61)
+    p = random_any_lambda(rng, 30)
+    s0 = acs_state(AcsParams(theta=1.1, phi=0.4), 30)
+    times = np.linspace(0.0, 3.0, 300)  # two full blocks and a partial one
+    rows = evolve_oracle_bloch(p, s0, times)
+    states = evolve_oracle_at_times(p, s0, times)
+    assert rows.shape == (300, 3) and len(states) == 300
+    for row, s in zip(rows, states):
+        b = bloch_vector(s)
+        assert np.max(np.abs(row - (b.x, b.y, b.z))) < 1e-12
+    assert evolve_oracle_bloch(p, s0, []).shape == (0, 3)
+    assert evolve_oracle_at_times(p, s0, []) == []
 
 
 # ------------------------------------------------------------------------- RK4

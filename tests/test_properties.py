@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from becgates.evolve import (
+    _BLOCK,
     evolve_oracle,
     evolve_oracle_at_times,
     evolve_rk4,
@@ -287,6 +288,9 @@ def zero_lambda_params(draw):
 @example(PhysicalParams(omega_a=0.7, omega_b=-0.3, gamma_a=0.08, gamma_b=0.0, gamma_ab=0.04,
                         g=1.1, delta=-0.5, n_atoms=25),
          AcsParams(theta=1.2, phi=0.4), 3.0, 7)
+@example(PhysicalParams(omega_a=0.7, omega_b=-0.3, gamma_a=0.08, gamma_b=0.0, gamma_ab=0.04,
+                        g=1.1, delta=-0.5, n_atoms=25),
+         AcsParams(theta=1.2, phi=0.4), 3.0, 2 * _BLOCK + 44)  # two full blocks and a partial one
 def test_trajectory_at_zero_lambda_matches_spinor_rotation(p, initial, t_final, n_samples):
     # an ACS stays an ACS, and its Bloch vector is that of its spinor
     assert derive_params(p).lambda_nl == 0.0

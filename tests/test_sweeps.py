@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,31 @@ def test_trajectory_validation():
         trajectory(p, INITIAL, 1.0, 1)
     with pytest.raises(ValueError, match="t_final"):
         trajectory(p, INITIAL, 0.0, 5)
+
+
+@pytest.mark.parametrize("t_final", [math.nan, math.inf])
+def test_trajectory_rejects_non_finite_t_final(t_final):
+    p = params_for_gate(gate_conditions(GateId.NOT, 1.0), 5)
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        trajectory(p, INITIAL, t_final, 3)
+
+
+def test_trajectory_memory_does_not_grow_with_samples_times_states():
+    # a state kept per sample would add 16 (N+1) bytes each; a Bloch row adds a few hundred
+    n = 200
+    spec = gate_conditions(GateId.NOT, 1.0)
+    p = params_for_gate(spec, n, {"gamma_ab": 0.04})
+
+    def traced_peak(n_samples: int) -> int:
+        tracemalloc.start()
+        try:
+            trajectory(p, INITIAL, spec.t_gate, n_samples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = traced_peak(8001) - traced_peak(1001)
+    assert growth < 0.25 * 16 * (n + 1) * 7000
 
 
 # ----------------------------------------------------------------- container checks

@@ -4,7 +4,7 @@ The oracle solves H_U with LAPACK ``dstevd`` where numpy bundles an ILP64
 scipy-openblas, and with the dense ``np.linalg.eigh`` otherwise.  Both paths
 must agree, and both must agree with the Chebyshev propagator of
 ``chebyshev.py`` at the production size N = 1000, where RK4 and mpmath cannot
-reach.
+reach.  So must the blocked propagation of many times from one solve.
 """
 
 import math
@@ -17,8 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from becgates import evolve
 from becgates.evolve import evolve_oracle
-from becgates.fock import AcsParams, acs_state
+from becgates.fock import AcsParams, acs_state, bloch_vector
 from becgates.gates import GateId, gate_conditions, params_for_gate
+from becgates.sweeps import trajectory
 from chebyshev import bands, bessel_j, chebyshev_evolve
 
 EPS = np.finfo(float).eps
@@ -146,3 +147,29 @@ def test_oracle_matches_chebyshev_propagator_at_gate_time(gate, n, lam, dgamma, 
     assert np.max(np.abs(evolve_oracle(p, s0, spec.t_gate).amplitudes - ref)) <= tol
     with dense_path():
         assert np.max(np.abs(evolve_oracle(p, s0, spec.t_gate).amplitudes - ref)) <= tol
+
+
+def test_blocked_trajectory_matches_single_time_oracle_and_chebyshev(monkeypatch):
+    # N = 1000 with self-trapping, over three full blocks of times and a partial one
+    n, block = 1000, evolve._BLOCK
+    n_samples = 3 * block + 37
+    spec = gate_conditions(GateId.Z, 1.0)
+    p = params_for_gate(spec, n, {"gamma_ab": 0.01, "omega_ab": 1.1 * spec.gamma_g})
+    initial = AcsParams(theta=math.pi / 8.0, phi=0.3)
+    s0 = acs_state(initial, n)
+    tr = trajectory(p, initial, spec.t_gate, n_samples)
+    states = evolve.evolve_oracle_at_times(p, s0, tr.times)
+    # the states on either side of each block boundary, with the tolerance of the test above
+    diag, off = bands(p)
+    radius = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+    edges = [i for k in range(block, n_samples, block) for i in (k - 1, k)] + [n_samples - 1]
+    for i in edges:
+        ref, terms = chebyshev_evolve(p, s0.amplitudes, tr.times[i])
+        tol = 16.0 * EPS * (terms + radius * tr.times[i])
+        assert np.max(np.abs(states[i].amplitudes - ref)) <= tol
+    # every Bloch row against a single-time evolve, all sharing one eigendecomposition
+    solve = evolve._tridiagonal_eigh(*evolve.rotating_frame_hamiltonian(p))
+    monkeypatch.setattr(evolve, "_tridiagonal_eigh", lambda diag, off: solve)
+    for t, point in zip(tr.times, tr.points):
+        ref = bloch_vector(evolve_oracle(p, s0, t))
+        assert max(abs(point.x - ref.x), abs(point.y - ref.y), abs(point.z - ref.z)) < 1e-12
