@@ -13,8 +13,12 @@ Three independent routes compute the same dynamics:
   OpenBLAS that numpy bundles solves it; where numpy bundles no such library,
   or LAPACK reports a failure, the dense ``np.linalg.eigh`` does instead.
   :func:`evolve_oracle_at_times` reuses one eigendecomposition for many
-  times, propagating a block of times by one real matrix product, and
-  :func:`evolve_oracle_bloch` reduces each block to Bloch vectors as it goes.
+  times, propagating a block of times by one real matrix product.  A
+  block's eigen-phases exp(-i w t) are one exact anchor at its first time
+  times a running product of step phases, one exponential per eigenvalue
+  for each distinct step between its times.  :func:`evolve_oracle_bloch`
+  reads each block out in the rotating frame as it goes: U(t) commutes with
+  Jz, so the lab frame is one phase e^{+i delta t} on <a'b> per time.
 
 :func:`evolve_rk4` integrates the original explicitly time-dependent
 Hamiltonian and serves as an independent cross-check of the oracle; the
@@ -46,6 +50,11 @@ __all__ = [
 ]
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"evolution time must be finite and >= 0, got {t!r}")
+
+
 def qubit_propagator(p: PhysicalParams, t: float) -> np.ndarray:
     """Analytic 2x2 propagator for evolution time t.
 
@@ -55,9 +64,9 @@ def qubit_propagator(p: PhysicalParams, t: float) -> np.ndarray:
     where xi, varpi and eta are derived from p.
     Half-angle factors are taken from the exact (sin_xi, cos_xi) pair so that
     the off-diagonal elements vanish identically when g = 0.
+    Raises ValueError if t is negative or not finite.
     """
-    if t < 0:
-        raise ValueError(f"evolution time must be >= 0, got {t!r}")
+    _check_time(t)
     dp = derive_params(p)
     cos2 = 0.5 * (1.0 + dp.cos_xi)  # cos^2(xi/2)
     sin2 = 0.5 * (1.0 - dp.cos_xi)  # sin^2(xi/2)
@@ -84,10 +93,10 @@ def full_propagator_analytic(p: PhysicalParams, t: float) -> np.ndarray:
     U(t) V exp(-i H_V t) V' with U(t) a diagonal frame phase, V the
     exponential of the anti-Hermitian mixing generator and H_V diagonal.
 
-    Raises ValueError if |lambda_nl| > 1e-12 (precondition violated) or t < 0.
+    Raises ValueError if |lambda_nl| > 1e-12 (precondition violated) or if t
+    is negative or not finite.
     """
-    if t < 0:
-        raise ValueError(f"evolution time must be >= 0, got {t!r}")
+    _check_time(t)
     dp = derive_params(p)
     if abs(dp.lambda_nl) > _LAMBDA_ATOL:
         raise ValueError(
@@ -220,52 +229,85 @@ _BLOCK = 128  # times propagated by one real GEMM; larger blocks gain no speed a
 
 
 def _oracle_blocks(p: PhysicalParams, s0: StateVector, times):
-    """Oracle states at the times from one eigendecomposition, as row blocks of amplitudes.
+    """Rotating-frame oracle states at the times from one eigendecomposition, block by block.
 
-    Every time is checked (finite and >= 0) before the eigensolve.  The real
-    eigenvectors are never upcast to complex: s0 is projected on them by its
-    real and imaginary parts apart, and a block of at most _BLOCK times takes
-    one real GEMM, whose operand holds the eigen-coefficients exp(-i w t) c of
-    each time as a column, its real and imaginary parts interleaved.
+    Every time is checked (finite and >= 0) before the eigensolve.  The times
+    are taken in ascending order, in blocks of at most _BLOCK; each block
+    yields (index, t, psi), where t = times[index] and psi[:, j] =
+    exp(-i H_U t[j]) s0: the amplitudes of a time are a column, as the GEMM
+    writes them.  The real eigenvectors are never upcast to complex: s0 is
+    projected on them by its real and imaginary parts apart, and a block
+    takes one real GEMM, whose operand holds the eigen-coefficients
+    exp(-i w t) c of each time as a column, its real and imaginary parts
+    interleaved.  Those columns are one exact anchor exp(-i w t[0]) c followed
+    by a running product of step phases exp(-i w (t[j] - t[j-1])), one
+    exponential per eigenvalue for each distinct step in the block (a uniform
+    grid has a few).  In ascending order a block's steps add up to its span,
+    so the rounding of their product stays near that of an exact phase.
     """
     _check_state(p, s0)
     times = np.asarray(times, dtype=float)
-    bad = [t for t in times.tolist() if not 0.0 <= t < math.inf]  # NaN fails both comparisons
-    if bad:
-        raise ValueError(f"evolution time must be finite and >= 0, got {bad[0]!r}")
-    n = p.n_atoms
+    for t in times.tolist():
+        _check_time(t)
     evals, evecs = _tridiagonal_eigh(*rotating_frame_hamiltonian(p))
     coeffs = evecs.T @ s0.amplitudes.real + 1j * (evecs.T @ s0.amplitudes.imag)
-    dn = n - 2.0 * np.arange(n + 1)
+    order = np.argsort(times, kind="stable")
     for start in range(0, len(times), _BLOCK):
-        t = times[start:start + _BLOCK]
-        c = np.exp(-1j * np.multiply.outer(evals, t)) * coeffs[:, None]
-        psi = (evecs @ c.view(np.float64)).view(np.complex128)
-        # delta t is rounded before dn multiplies it: the phase delta t N is large at phase-gate
-        # detunings, and rounding it in another order moves states by up to 1e-13
-        psi *= np.exp(1j * np.multiply.outer(dn, -0.5 * p.delta * t))
-        yield np.ascontiguousarray(psi.T)
+        index = order[start:start + _BLOCK]
+        t = times[index]
+        # built by a helper, the coefficients are freed before the block is read out
+        psi = evecs @ _eigen_phases(evals, coeffs, t).view(np.float64)
+        yield index, t, psi.view(np.complex128)
+
+
+def _eigen_phases(evals: np.ndarray, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i evals t[j]) coeffs as column j: the anchor at t[0], then products of step phases."""
+    c = np.empty((len(evals), len(t)), dtype=complex)
+    c[:, 0] = np.exp(-1j * (evals * t[0])) * coeffs
+    if len(t) > 1:
+        steps, step = np.unique(np.diff(t), return_inverse=True)
+        c[:, 1:] = np.exp(-1j * np.multiply.outer(evals, steps))[:, step]
+        np.cumprod(c, axis=1, out=c)
+    return c
 
 
 def evolve_oracle_at_times(p: PhysicalParams, s0: StateVector, times) -> list[StateVector]:
     """Oracle evolution sampled at several times with one eigendecomposition.
 
     The times are propagated in blocks, each by one matrix product with the
-    eigenvectors.  Raises ValueError, before any solve, naming the first time
-    that is negative or not finite.
+    eigenvectors, from an exact anchor and step phases (see _oracle_blocks);
+    the lab-frame phase U(t) is then applied in the Fock basis, so a single
+    time gives the same bits as its own exact evolution.  Raises ValueError,
+    before any solve, naming the first time that is negative or not finite.
     """
-    return [StateVector(n_atoms=p.n_atoms, amplitudes=psi)
-            for block in _oracle_blocks(p, s0, times) for psi in block]
+    n = p.n_atoms
+    dn = n - 2.0 * np.arange(n + 1)
+    states = [None] * len(times)
+    for index, t, psi in _oracle_blocks(p, s0, times):
+        # delta t is rounded before dn multiplies it: the phase delta t N is large at phase-gate
+        # detunings, and rounding it in another order moves states by up to 1e-13
+        psi *= np.exp(1j * np.multiply.outer(dn, -0.5 * p.delta * t))
+        for i, amplitudes in zip(index.tolist(), np.ascontiguousarray(psi.T)):
+            states[i] = StateVector(n_atoms=n, amplitudes=amplitudes)
+    return states
 
 
 def evolve_oracle_bloch(p: PhysicalParams, s0: StateVector, times) -> np.ndarray:
     """Bloch vectors (<Jx>, <Jy>, <Jz>)/N of the oracle-evolved state, one row per time.
 
     The same blocked propagation as evolve_oracle_at_times, each block read
-    out and dropped, so memory does not grow with the number of times.
+    out in the rotating frame and dropped, so memory does not grow with the
+    number of times.  U(t) commutes with Jz and turns <a'b> by one phase,
+    <a'b>_lab = e^{+i delta t} <a'b>_rot, so the lab frame costs one
+    rotation of (x, y) per time instead of a phase per amplitude.
     """
-    rows = [_bloch_rows(block) for block in _oracle_blocks(p, s0, times)]
-    return np.concatenate(rows) if rows else np.empty((0, 3))
+    rows = np.empty((len(times), 3))
+    for index, t, psi in _oracle_blocks(p, s0, times):
+        row = _bloch_rows(psi)
+        xy = (row[:, 0] + 1j * row[:, 1]) * np.exp(1j * p.delta * t)
+        row[:, 0], row[:, 1] = xy.real, xy.imag
+        rows[index] = row
+    return rows
 
 
 def evolve_rk4(p: PhysicalParams, s0: StateVector, t: float, dt: float) -> StateVector:
@@ -275,13 +317,12 @@ def evolve_rk4(p: PhysicalParams, s0: StateVector, t: float, dt: float) -> State
     path never forms the rotating-frame Hamiltonian used by the oracle.  No
     renormalization is applied; norm drift is a diagnostic of step quality.
     The step is rejected up front if dt times a spectral-radius estimate of
-    the Hamiltonian is >= 0.1.
+    the Hamiltonian is >= 0.1, and so is a t or dt that is not finite.
     """
     _check_state(p, s0)
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    if t < 0:
-        raise ValueError(f"evolution time must be >= 0, got {t!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    _check_time(t)
 
     n = p.n_atoms
     k = np.arange(n + 1)

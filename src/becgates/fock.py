@@ -149,13 +149,20 @@ def pseudo_spin_matrices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _bloch_rows(amps: np.ndarray) -> np.ndarray:
-    """(<Jx>, <Jy>, <Jz>)/N of the amplitude vectors along the last axis, on a new last axis."""
-    n = amps.shape[-1] - 1
-    k = np.arange(n)
-    off = np.sqrt((n - k) * (k + 1.0))
-    raising = np.sum(np.conj(amps[..., :-1]) * off * amps[..., 1:], axis=-1)  # <a'b>
-    jz = np.sum((n - 2.0 * np.arange(n + 1)) * np.abs(amps) ** 2, axis=-1)
-    return np.stack((2.0 * raising.real, 2.0 * raising.imag, jz), axis=-1) / n
+    """(<Jx>, <Jy>, <Jz>)/N of the amplitude vectors along the first axis, on a new last axis."""
+    n = len(amps) - 1
+    k = np.arange(n + 1)
+    off = np.sqrt((n - k[:-1]) * (k[:-1] + 1.0))
+    re, im = amps.real, amps.imag
+
+    def dot(u, w, v):  # sum of u w v over the Fock index, with no temporary the size of amps
+        return np.einsum("k...,k,k...->...", u, w, v)
+
+    # <a'b> = sum_k off_k conj(amps_k) amps_(k+1), in real arithmetic
+    x = dot(re[:-1], off, re[1:]) + dot(im[:-1], off, im[1:])
+    y = dot(re[:-1], off, im[1:]) - dot(im[:-1], off, re[1:])
+    jz = dot(re, n - 2.0 * k, re) + dot(im, n - 2.0 * k, im)
+    return np.stack((2.0 * x, 2.0 * y, jz), axis=-1) / n
 
 
 def bloch_vector(s: StateVector) -> BlochVector:

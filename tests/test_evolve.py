@@ -138,6 +138,28 @@ def test_negative_time_rejected():
         qubit_propagator(p, -1.0)
 
 
+TIME_MESSAGE = "evolution time must be finite and >= 0"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda p, s0, bad: qubit_propagator(p, bad), TIME_MESSAGE),
+        (lambda p, s0, bad: full_propagator_analytic(p, bad), TIME_MESSAGE),
+        (lambda p, s0, bad: evolve_rk4(p, s0, bad, 1e-3), TIME_MESSAGE),
+        (lambda p, s0, bad: evolve_rk4(p, s0, 1.0, bad), "dt must be finite and > 0"),
+    ],
+    ids=["qubit_propagator", "full_propagator_analytic", "evolve_rk4-t", "evolve_rk4-dt"],
+)
+def test_non_finite_times_rejected(call, what, bad):
+    spec = gate_conditions(GateId.NOT, 1.0)
+    p = params_for_gate(spec, 3)
+    s0 = acs_state(AcsParams(theta=0.3, phi=0.0), 3)
+    with pytest.raises(ValueError, match=re.escape(f"{what}, got {bad!r}") + "$"):
+        call(p, s0, bad)
+
+
 # ------------------------------------------------------- full analytic propagator
 
 
@@ -278,6 +300,22 @@ def test_oracle_bloch_rows_match_bloch_vector_of_each_state():
         assert np.max(np.abs(row - (b.x, b.y, b.z))) < 1e-12
     assert evolve_oracle_bloch(p, s0, []).shape == (0, 3)
     assert evolve_oracle_at_times(p, s0, []) == []
+
+
+def test_bloch_readout_turns_the_rotating_frame_by_the_detuning():
+    # at phase-gate detuning (delta = 100 g) the frame phase delta t sweeps many turns; rows read
+    # out in the rotating frame and turned by e^{+i delta t} must equal the Bloch vectors of the
+    # Fock-basis (lab-frame) states
+    spec = gate_conditions(GateId.S, 1.0)
+    assert spec.delta_g == 100.0 * spec.g
+    p = params_for_gate(spec, 40, {"gamma_ab": 0.02})
+    s0 = acs_state(AcsParams(theta=1.1, phi=0.4), 40)
+    times = np.linspace(0.0, 8.0 * spec.t_gate, 500)
+    assert p.delta * times[-1] > 10.0 * math.pi  # six turns
+    rows = evolve_oracle_bloch(p, s0, times)
+    for row, s in zip(rows, evolve_oracle_at_times(p, s0, times)):
+        b = bloch_vector(s)
+        assert np.max(np.abs(row - (b.x, b.y, b.z))) < 1e-12
 
 
 # ------------------------------------------------------------------------- RK4

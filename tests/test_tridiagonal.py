@@ -19,6 +19,7 @@ from becgates import evolve
 from becgates.evolve import evolve_oracle
 from becgates.fock import AcsParams, acs_state, bloch_vector
 from becgates.gates import GateId, gate_conditions, params_for_gate
+from becgates.params import derive_params
 from becgates.sweeps import trajectory
 from chebyshev import bands, bessel_j, chebyshev_evolve
 
@@ -173,3 +174,40 @@ def test_blocked_trajectory_matches_single_time_oracle_and_chebyshev(monkeypatch
     for t, point in zip(tr.times, tr.points):
         ref = bloch_vector(evolve_oracle(p, s0, t))
         assert max(abs(point.x - ref.x), abs(point.y - ref.y), abs(point.z - ref.z)) < 1e-12
+
+
+def _time_sets(t_gate: float) -> dict:
+    rng = np.random.default_rng(1000)
+    irregular = np.sort(rng.uniform(0.0, t_gate, 300))
+    return {
+        "linspace": np.linspace(0.0, t_gate, 2001),  # 15 full blocks and a partial one
+        "irregular": irregular,  # a different set of steps in every block
+        "unsorted": rng.permutation(irregular),  # negative steps
+        "duplicated": np.repeat(irregular[::3], rng.integers(1, 4, 100)),  # zero steps
+    }
+
+
+@pytest.mark.parametrize("gamma_ab", [0.0, 0.01])
+def test_step_phases_match_the_single_time_oracle_at_every_time(monkeypatch, gamma_ab):
+    # a block's eigen-phases are an exact anchor times a running product of step phases;
+    # each time must still give its own single-time evolution (the anchor alone)
+    n = 1000
+    spec = gate_conditions(GateId.Z, 1.0)  # delta = 100 g: large frame phases
+    p = params_for_gate(spec, n, {"gamma_ab": gamma_ab, "omega_ab": 1.1 * spec.gamma_g})
+    assert (derive_params(p).lambda_nl == 0.0) == (gamma_ab == 0.0)
+    s0 = acs_state(AcsParams(theta=math.pi / 8.0, phi=0.3), n)
+    solve = evolve._tridiagonal_eigh(*evolve.rotating_frame_hamiltonian(p))
+    monkeypatch.setattr(evolve, "_tridiagonal_eigh", lambda diag, off: solve)
+    reference = {}
+    for name, times in _time_sets(spec.t_gate).items():
+        rows = evolve.evolve_oracle_bloch(p, s0, times)
+        states = evolve.evolve_oracle_at_times(p, s0, times)
+        assert rows.shape == (len(times), 3) and len(states) == len(times), name
+        for t, row, state in zip(times.tolist(), rows, states):
+            if t not in reference:
+                ref = evolve_oracle(p, s0, t)
+                b = bloch_vector(ref)
+                reference[t] = ref.amplitudes, np.array([b.x, b.y, b.z])
+            amplitudes, point = reference[t]
+            assert np.max(np.abs(state.amplitudes - amplitudes)) <= 1e-12, (name, t)
+            assert np.max(np.abs(row - point)) <= 1e-12, (name, t)
