@@ -18,7 +18,14 @@ Three independent routes compute the same dynamics:
   times a running product of step phases, one exponential per eigenvalue
   for each distinct step between its times.  :func:`evolve_oracle_bloch`
   reads each block out in the rotating frame as it goes: U(t) commutes with
-  Jz, so the lab frame is one phase e^{+i delta t} on <a'b> per time.
+  Jz, so the lab frame is one phase e^{+i delta t} on <a'b> per time.  It
+  also propagates only the window of eigenvectors that the state occupies:
+  of the eigen-coefficients c = V' s0, in ascending order of eigenvalue,
+  each end whose |c|^2 sums to at most eps^2/2 is dropped, with eps =
+  (N+1) machine epsilon, the eigenvectors' own orthogonality error.  The
+  dropped norm is then at most eps, and as the propagation is unitary every
+  sampled state lies within eps of the untruncated one, so every Bloch
+  component moves by at most 2 eps + eps^2.
 
 :func:`evolve_rk4` integrates the original explicitly time-dependent
 Hamiltonian and serves as an independent cross-check of the oracle; the
@@ -228,7 +235,20 @@ def evolve_oracle(p: PhysicalParams, s0: StateVector, t: float) -> StateVector:
 _BLOCK = 128  # times propagated by one real GEMM; larger blocks gain no speed at N = 1000
 
 
-def _oracle_blocks(p: PhysicalParams, s0: StateVector, times):
+def _occupied_window(coeffs: np.ndarray) -> slice:
+    """Slice of the eigen-coefficients, in ascending order of eigenvalue, that a state occupies.
+
+    Each end dropped holds at most eps^2/2 of |c|^2, with eps = (N+1) machine
+    epsilon, so the dropped norm is at most eps.
+    """
+    half = 0.5 * (len(coeffs) * np.finfo(float).eps) ** 2
+    weight = coeffs.real**2 + coeffs.imag**2
+    lo = np.searchsorted(np.cumsum(weight), half, side="right")
+    hi = len(weight) - np.searchsorted(np.cumsum(weight[::-1]), half, side="right")
+    return slice(int(lo), int(hi))
+
+
+def _oracle_blocks(p: PhysicalParams, s0: StateVector, times, window: bool = False):
     """Rotating-frame oracle states at the times from one eigendecomposition, block by block.
 
     Every time is checked (finite and >= 0) before the eigensolve.  The times
@@ -244,6 +264,11 @@ def _oracle_blocks(p: PhysicalParams, s0: StateVector, times):
     exponential per eigenvalue for each distinct step in the block (a uniform
     grid has a few).  In ascending order a block's steps add up to its span,
     so the rounding of their product stays near that of an exact phase.
+
+    With window, only the eigenpairs of _occupied_window(c) propagate: the
+    eigenvectors, eigenvalues and coefficients are sliced as views, and each
+    psi lies within eps = (N+1) machine epsilon of its untruncated value.
+    Without it the slice is the whole basis, and psi keeps its bits.
     """
     _check_state(p, s0)
     times = np.asarray(times, dtype=float)
@@ -251,6 +276,8 @@ def _oracle_blocks(p: PhysicalParams, s0: StateVector, times):
         _check_time(t)
     evals, evecs = _tridiagonal_eigh(*rotating_frame_hamiltonian(p))
     coeffs = evecs.T @ s0.amplitudes.real + 1j * (evecs.T @ s0.amplitudes.imag)
+    kept = _occupied_window(coeffs) if window else slice(None)
+    evals, evecs, coeffs = evals[kept], evecs[:, kept], coeffs[kept]
     order = np.argsort(times, kind="stable")
     for start in range(0, len(times), _BLOCK):
         index = order[start:start + _BLOCK]
@@ -299,10 +326,14 @@ def evolve_oracle_bloch(p: PhysicalParams, s0: StateVector, times) -> np.ndarray
     out in the rotating frame and dropped, so memory does not grow with the
     number of times.  U(t) commutes with Jz and turns <a'b> by one phase,
     <a'b>_lab = e^{+i delta t} <a'b>_rot, so the lab frame costs one
-    rotation of (x, y) per time instead of a phase per amplitude.
+    rotation of (x, y) per time instead of a phase per amplitude.  Only the
+    eigenvectors the state occupies propagate: each end of the ascending
+    eigenvalues holding at most eps^2/2 of |c|^2 is dropped, eps = (N+1)
+    machine epsilon, so every component of every row lies within
+    2 eps + eps^2 of the untruncated readout.
     """
     rows = np.empty((len(times), 3))
-    for index, t, psi in _oracle_blocks(p, s0, times):
+    for index, t, psi in _oracle_blocks(p, s0, times, window=True):
         row = _bloch_rows(psi)
         xy = (row[:, 0] + 1j * row[:, 1]) * np.exp(1j * p.delta * t)
         row[:, 0], row[:, 1] = xy.real, xy.imag

@@ -183,7 +183,9 @@ def run_gate(
     initial: AcsParams,
     n_atoms: int,
     overrides: Mapping[str, float] | None = None,
-) -> tuple[StateVector, float]:
+    *,
+    with_state: bool = True,
+) -> tuple[StateVector | None, float]:
     """Evolve an initial ACS through one gate and score it against the target.
 
     The N-particle target is the ACS whose spinor is spec.target applied to
@@ -197,26 +199,33 @@ def run_gate(
     is the single-atom (spinor) fidelity.  It is exact down to float
     underflow near 1e-308.  Otherwise the state comes from the eigen-oracle,
     whose roundoff puts a floor near 1e-30 under the fidelity.
+
+    With with_state=False the state is returned as None, and at zero
+    nonlinearity it is never built, so the fidelity costs the same at any N.
     """
     p = params_for_gate(spec, n_atoms, overrides)
     dp = derive_params(p)
     if dp.lambda_nl == 0.0:
-        return _run_gate_rotation(p, dp.eta, spec, initial.spinor)
+        return _run_gate_rotation(p, dp.eta, spec, initial.spinor, with_state)
     s0 = acs_state(initial, n_atoms)
     final = evolve_oracle(p, s0, spec.t_gate)
     target_state = acs_from_spinor(*(spec.target @ initial.spinor), n_atoms)
-    return final, fidelity(target_state, final)
+    return final if with_state else None, fidelity(target_state, final)
 
 
 def _run_gate_rotation(
-    p: PhysicalParams, eta: float, spec: GateSpec, spinor: np.ndarray
-) -> tuple[StateVector, float]:
-    """run_gate at lambda_nl = 0: the ACS of the rotated spinor and F1**N."""
+    p: PhysicalParams, eta: float, spec: GateSpec, spinor: np.ndarray, with_state: bool
+) -> tuple[StateVector | None, float]:
+    """run_gate at lambda_nl = 0: F1**N, and the ACS of the rotated spinor if with_state."""
     n = p.n_atoms
     t = spec.t_gate
     w = qubit_propagator(p, t) @ spinor
     target = spec.target @ spinor
     f1 = abs(np.vdot(target, w)) ** 2 / (np.vdot(target, target).real * np.vdot(w, w).real)
+    # roundoff can put F1 a few ulps above 1, which the power N would amplify
+    f = min(float(f1), 1.0) ** n
+    if not with_state:
+        return None, f
     # The state is e^{-i eta t} sqrt(C(N,k)) r0^(N-k) r1^k with r = e^{i eta t} w, the
     # single-atom rotation; acs_from_spinor drops the phase of r0^N (taking it as 1
     # when r0 = 0, where the state is the pole k = N), so it is restored here.
@@ -224,8 +233,7 @@ def _run_gate_rotation(
     arg0 = cmath.phase(r0) if r0 else 0.0
     final = acs_from_spinor(*w, n)
     final.amplitudes *= cmath.exp(1j * (n * arg0 - eta * t))
-    # roundoff can put F1 a few ulps above 1, which the power N would amplify
-    return final, min(float(f1), 1.0) ** n
+    return final, f
 
 
 def up_to_phase_deviation(u: np.ndarray, target: np.ndarray) -> float:

@@ -120,8 +120,8 @@ def _grid_map(cells, func, workers: int):
 
 
 def _cell_fidelity(spec: GateSpec, initial: AcsParams, n_atoms: int, overrides) -> float:
-    try:
-        _, f = run_gate(spec, initial, n_atoms, overrides)
+    try:  # a lambda = 0 cell then builds no N-particle state, only F1**N
+        _, f = run_gate(spec, initial, n_atoms, overrides, with_state=False)
     except ValidationError:
         return math.nan  # the cell's parameters cannot be realized: a missing cell
     return f

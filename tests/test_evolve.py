@@ -318,6 +318,36 @@ def test_bloch_readout_turns_the_rotating_frame_by_the_detuning():
         assert np.max(np.abs(row - (b.x, b.y, b.z))) < 1e-12
 
 
+def test_pole_state_without_coupling_occupies_one_eigenvector():
+    # at g = 0 the Fock states are the eigenvectors, so the pole |N, 0> is a window of width 1
+    n = 1000
+    p = make_params(g=0.0, delta=0.0, n_atoms=n)
+    s0 = acs_state(AcsParams(theta=0.0, phi=0.0), n)
+    evals, evecs = evolve._tridiagonal_eigh(*evolve.rotating_frame_hamiltonian(p))
+    kept = evolve._occupied_window(evecs.T @ s0.amplitudes.real + 1j * (evecs.T @ s0.amplitudes.imag))
+    assert kept.stop - kept.start == 1
+    eps = (n + 1) * np.finfo(float).eps
+    rows = evolve_oracle_bloch(p, s0, np.linspace(0.0, 5.0, 11))
+    assert np.max(np.abs(rows - (0.0, 0.0, 1.0))) <= 2.0 * eps + eps**2
+    assert evolve_oracle_bloch(p, s0, []).shape == (0, 3)
+
+
+def test_only_the_bloch_readout_propagates_on_the_occupied_window(monkeypatch):
+    # evolve, evolve_oracle_at_times and every sweep cell keep the whole eigenbasis, and their bits
+    spec = gate_conditions(GateId.NOT, 1.0)
+    p = params_for_gate(spec, 60, {"gamma_ab": 0.02})
+    s0 = acs_state(AcsParams(theta=1.1, phi=0.4), 60)
+    times = [0.0, 0.5 * spec.t_gate, spec.t_gate]
+    states = evolve_oracle_at_times(p, s0, times)
+    single = evolve_oracle(p, s0, spec.t_gate)
+    rows = evolve_oracle_bloch(p, s0, times)
+    monkeypatch.setattr(evolve, "_occupied_window", lambda coeffs: slice(0, 1))  # cuts the state
+    for a, b in zip(evolve_oracle_at_times(p, s0, times), states):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+    assert np.array_equal(evolve_oracle(p, s0, spec.t_gate).amplitudes, single.amplitudes)
+    assert np.max(np.abs(evolve_oracle_bloch(p, s0, times) - rows)) > 0.1  # the patch bites
+
+
 # ------------------------------------------------------------------------- RK4
 
 

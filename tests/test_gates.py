@@ -201,6 +201,14 @@ def test_run_gate_not_twice_restores_state():
     assert fidelity(acs_state(initial, n), twice) >= 1 - 1e-6
 
 
+@pytest.mark.parametrize("gamma_ab", [0.0, 0.02])
+def test_run_gate_without_state_keeps_the_fidelity(gamma_ab):
+    spec = gate_conditions(GateId.HADAMARD, 1.0)
+    initial = AcsParams(theta=1.1, phi=0.7)
+    _, f = run_gate(spec, initial, 40, {"gamma_ab": gamma_ab})
+    assert run_gate(spec, initial, 40, {"gamma_ab": gamma_ab}, with_state=False) == (None, f)
+
+
 def test_hadamard_involution():
     spec = gate_conditions(GateId.HADAMARD, 1.0)
     u = ideal_propagator(spec)

@@ -238,6 +238,23 @@ def test_trajectory_memory_does_not_grow_with_samples_times_states():
     assert growth < 0.25 * 16 * (n + 1) * 7000
 
 
+def test_zero_lambda_cells_build_no_state():
+    # a lambda = 0 cell is F1**N in closed form: its cost must not grow with N
+    n, ratios = 10**6, [0.0, 0.001]
+    tracemalloc.start()
+    try:
+        grid = sweep_delta(GateId.NOT, ratios, n, INITIAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one state would take 16 MB
+    spec = gate_conditions(GateId.NOT, 1.0)
+    for r, f in zip(ratios, grid.fidelities[:, 0].tolist()):
+        cells = [run_gate(spec, INITIAL, n, {"delta": spec.delta_g * (1.0 + sign * r)})[1]
+                 for sign in (1.0, -1.0)]
+        assert f == min(cells)
+
+
 # ----------------------------------------------------------------- container checks
 
 

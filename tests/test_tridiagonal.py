@@ -4,7 +4,8 @@ The oracle solves H_U with LAPACK ``dstevd`` where numpy bundles an ILP64
 scipy-openblas, and with the dense ``np.linalg.eigh`` otherwise.  Both paths
 must agree, and both must agree with the Chebyshev propagator of
 ``chebyshev.py`` at the production size N = 1000, where RK4 and mpmath cannot
-reach.  So must the blocked propagation of many times from one solve.
+reach.  So must the blocked propagation of many times from one solve, and
+the trajectory's propagation on the window of eigenvectors the state occupies.
 """
 
 import math
@@ -211,3 +212,42 @@ def test_step_phases_match_the_single_time_oracle_at_every_time(monkeypatch, gam
             amplitudes, point = reference[t]
             assert np.max(np.abs(state.amplitudes - amplitudes)) <= 1e-12, (name, t)
             assert np.max(np.abs(row - point)) <= 1e-12, (name, t)
+
+
+@pytest.mark.parametrize("gamma_ab", [0.0, 0.04])
+@pytest.mark.parametrize("dense", [False, True])
+def test_trajectory_window_drops_at_most_eps_of_the_norm(monkeypatch, dense, gamma_ab):
+    # the Bloch readout propagates only the eigenvectors the state occupies: each end of the
+    # ascending eigenvalues it drops holds at most eps^2/2 of |c|^2, eps = (N+1) machine epsilon
+    n = 1000
+    eps = (n + 1) * EPS
+    spec = gate_conditions(GateId.Y, 1.0)
+    p = params_for_gate(spec, n, {"gamma_ab": gamma_ab, "omega_ab": 1.1 * spec.gamma_g})
+    assert (derive_params(p).lambda_nl == 0.0) == (gamma_ab == 0.0)
+    s0 = acs_state(AcsParams(theta=math.pi / 2.0, phi=0.3), n)
+    if dense:
+        monkeypatch.setattr(evolve, "_dstevd", lambda: None)
+    evals, evecs = evolve._tridiagonal_eigh(*evolve.rotating_frame_hamiltonian(p))
+    monkeypatch.setattr(evolve, "_tridiagonal_eigh", lambda diag, off: (evals, evecs))
+    c = evecs.T @ s0.amplitudes.real + 1j * (evecs.T @ s0.amplitudes.imag)
+    weight = c.real**2 + c.imag**2
+    kept = evolve._occupied_window(c)
+    low, high = np.sum(weight[:kept.start]), np.sum(weight[kept.stop:])
+    assert low <= 0.5 * eps**2 and high <= 0.5 * eps**2
+    assert math.sqrt(low + high) <= eps
+    # no more is kept than the bound needs, and that is a fraction of the basis
+    assert low + weight[kept.start] > 0.5 * eps**2 and high + weight[kept.stop - 1] > 0.5 * eps**2
+    assert kept.stop - kept.start < (n + 1) // 2
+
+    # every row within 2 eps + eps^2 of the untruncated readout of the same solve, and within
+    # the pinned 1e-12 of the single-time oracle
+    times = np.linspace(0.0, spec.t_gate, 2 * evolve._BLOCK + 45)
+    rows = evolve.evolve_oracle_bloch(p, s0, times)
+    assert evolve.evolve_oracle_bloch(p, s0, []).shape == (0, 3)
+    with monkeypatch.context() as whole:
+        whole.setattr(evolve, "_occupied_window", lambda coeffs: slice(None))
+        untruncated = evolve.evolve_oracle_bloch(p, s0, times)
+    assert np.max(np.abs(rows - untruncated)) <= 2.0 * eps + eps**2
+    for t, row in zip(times[::20].tolist(), rows[::20]):
+        b = bloch_vector(evolve_oracle(p, s0, t))
+        assert np.max(np.abs(row - (b.x, b.y, b.z))) <= 1e-12, t
