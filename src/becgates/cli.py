@@ -43,7 +43,14 @@ from .gates import (
     params_for_gate,
     up_to_phase_deviation,
 )
-from .params import ValidationError, _number, _reject, params_from_dict, params_to_dict
+from .params import (
+    ValidationError,
+    _number,
+    _reject,
+    derive_params,
+    params_from_dict,
+    params_to_dict,
+)
 from .sweeps import SWEEP_KINDS, sweep_delta, sweep_lambda_gamma, trajectory
 
 __all__ = ["main", "entrypoint"]
@@ -118,7 +125,10 @@ def _gate(value) -> GateId:
 def _phase_rate(p) -> float:
     """A bound on |E| and |delta| N: evolving p over t overflows (to NaN) only if t times it does."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the answer here
-        return spectral_radius_bound(p) + abs(p.delta) * p.n_atoms
+        try:
+            return spectral_radius_bound(p) + abs(p.delta) * p.n_atoms
+        except OverflowError:  # an n_atoms beyond the floating-point range
+            return math.inf
 
 
 def _physical_memory() -> float:
@@ -129,7 +139,18 @@ def _physical_memory() -> float:
         return math.inf
 
 
-_ROW_BYTES = 512  # a trajectory sample's Bloch row, BlochVector and CSV line (traced: under 500)
+# a trajectory sample's time, Bloch row (the closed form's 2x2 propagator too) and CSV line
+# (traced at either nonlinearity: about 350)
+_ROW_BYTES = 512
+
+
+def _check_memory(field: str, what: str, need: float) -> None:
+    memory = _physical_memory()
+    if need > memory:
+        raise ValidationError(
+            f"field '{field}': {what} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _check_solver_memory(field: str, n_atoms: int, n_samples: int = 0) -> None:
@@ -142,13 +163,8 @@ def _check_solver_memory(field: str, n_atoms: int, n_samples: int = 0) -> None:
     """
     block = min(n_samples, _BLOCK)
     need = 16 * (n_atoms + 1) * (n_atoms + 1 + 8 * block) + _ROW_BYTES * n_samples
-    memory = _physical_memory()
-    if need > memory:
-        samples = f" and {n_samples} samples" if n_samples else ""
-        raise ValidationError(
-            f"field '{field}': the eigensolve at n_atoms = {n_atoms}{samples} needs about "
-            f"{need / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB of physical memory"
-        )
+    samples = f" and {n_samples} samples" if n_samples else ""
+    _check_memory(field, f"the eigensolve at n_atoms = {n_atoms}{samples}", need)
 
 
 def _params_and_initial(cfg: dict, time_key: str):
@@ -156,7 +172,6 @@ def _params_and_initial(cfg: dict, time_key: str):
     if not isinstance(cfg.get("params"), dict):
         _reject("params", cfg.get("params"), "an object with the parameter keys")
     p = params_from_dict(cfg["params"])
-    _check_solver_memory("n_atoms", p.n_atoms)
     rate = _phase_rate(p)
     if not math.isfinite(rate):
         raise ValidationError("field 'params': the Hamiltonian's entries overflow")
@@ -169,13 +184,19 @@ def _params_and_initial(cfg: dict, time_key: str):
 
 def _resolve_evolve(cfg: dict):
     p, initial, t, resolved = _params_and_initial(cfg, "t")
+    _check_solver_memory("n_atoms", p.n_atoms)
     return resolved, None, lambda: state_to_csv(evolve_oracle(p, acs_state(initial, p.n_atoms), t))
 
 
 def _resolve_trajectory(cfg: dict):
+    # at lambda = 0 the trajectory takes the closed form, which solves nothing, at any n_atoms
     p, initial, t_final, resolved = _params_and_initial(cfg, "t_final")
     n_samples = resolved["n_samples"] = _integer("n_samples", cfg.get("n_samples", 101), 2)
-    _check_solver_memory("n_samples", p.n_atoms, n_samples)
+    if derive_params(p).lambda_nl == 0.0:
+        _check_memory("n_samples", f"the trajectory of {n_samples} samples", _ROW_BYTES * n_samples)
+    else:
+        _check_solver_memory("n_atoms", p.n_atoms)
+        _check_solver_memory("n_samples", p.n_atoms, n_samples)
     return resolved, None, lambda: trajectory(p, initial, t_final, n_samples).to_csv()
 
 

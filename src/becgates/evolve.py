@@ -3,7 +3,10 @@
 Three independent routes compute the same dynamics:
 
 * :func:`qubit_propagator` -- the analytic 2x2 rotation-product propagator
-  acting on the (alpha, beta) spinor of an atomic coherent state.
+  acting on the (alpha, beta) spinor of an atomic coherent state, at one
+  time or at an array of times at once.  At zero nonlinearity an atomic
+  coherent state stays the one of its rotated spinor, so the gate fidelity
+  and the Bloch trajectory come from it alone.
 * :func:`full_propagator_analytic` -- the analytic (N+1)-dimensional
   propagator U(t) V exp(-i H_V t) V', exact when the nonlinear parameter
   vanishes.
@@ -29,7 +32,9 @@ Three independent routes compute the same dynamics:
 
 :func:`evolve_rk4` integrates the original explicitly time-dependent
 Hamiltonian and serves as an independent cross-check of the oracle; the
-three production engines share no evolution code path.
+three production engines share no evolution code path.  Its step is sized
+by :func:`spectral_radius_bound`, which is closed form and costs the same at
+any N.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,23 +61,29 @@ __all__ = [
 ]
 
 
-def _check_time(t: float) -> None:
-    if not 0.0 <= t < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"evolution time must be finite and >= 0, got {t!r}")
+def _check_times(t) -> np.ndarray:
+    """The time or times as a float array; ValueError names the first not finite and >= 0."""
+    t = np.asarray(t, dtype=float)
+    bad = ~((0.0 <= t) & (t < math.inf))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"evolution time must be finite and >= 0, got {float(t[bad][0])!r}")
+    return t
 
 
-def qubit_propagator(p: PhysicalParams, t: float) -> np.ndarray:
-    """Analytic 2x2 propagator for evolution time t.
+def qubit_propagator(p: PhysicalParams, t) -> np.ndarray:
+    """Analytic 2x2 propagator for evolution time t, or for each of an array of times.
 
     Equivalent to the rotation product
     e^{-i eta t} Rz(delta*t) Ry(-xi) Rz(varpi*t) Ry(xi)
     with Rz(a) = diag(e^{-ia/2}, e^{ia/2}) and Ry the real rotation matrix,
-    where xi, varpi and eta are derived from p.
+    where xi, varpi and eta are derived from p, once for all the times.
     Half-angle factors are taken from the exact (sin_xi, cos_xi) pair so that
     the off-diagonal elements vanish identically when g = 0.
-    Raises ValueError if t is negative or not finite.
+    Returns an array of shape t.shape + (2, 2); every element is computed
+    elementwise, so each time gets the bits of its own scalar call.
+    Raises ValueError, naming the first time that is negative or not finite.
     """
-    _check_time(t)
+    t = _check_times(t)
     dp = derive_params(p)
     cos2 = 0.5 * (1.0 + dp.cos_xi)  # cos^2(xi/2)
     sin2 = 0.5 * (1.0 - dp.cos_xi)  # sin^2(xi/2)
@@ -82,11 +92,18 @@ def qubit_propagator(p: PhysicalParams, t: float) -> np.ndarray:
     e_md = np.exp(-1j * d)
     e_mw = np.exp(-1j * w)
     e_2w = np.exp(2j * w)
-    p11 = e_md * e_mw * (cos2 + e_2w * sin2)
-    p12 = 1j * dp.sin_xi * math.sin(w) * e_md
-    p21 = 1j * dp.sin_xi * math.sin(w) * np.conj(e_md)
-    p22 = np.conj(e_md) * e_mw * (sin2 + e_2w * cos2)
-    return np.exp(-1j * dp.eta * t) * np.array([[p11, p12], [p21, p22]])
+    u = np.empty(t.shape + (2, 2), dtype=complex)
+    # The diagonal, e^{-id} e^{-iw} (cos2 + e^{2iw} sin2) and e^{id} e^{-iw} (sin2 + e^{2iw} cos2),
+    # is multiplied out in real arithmetic, as numpy's complex scalars multiply: its complex array
+    # loop may fuse a multiply and an add, and would round a time in an array unlike the time alone.
+    c, s, x, y = e_md.real, e_md.imag, e_mw.real, e_mw.imag
+    for k, (re, im), q in ((0, (c * x - s * y, c * y + s * x), cos2 + e_2w * sin2),
+                           (1, (c * x + s * y, c * y - s * x), sin2 + e_2w * cos2)):
+        u.real[..., k, k] = re * q.real - im * q.imag
+        u.imag[..., k, k] = re * q.imag + im * q.real
+    u[..., 0, 1] = 1j * dp.sin_xi * np.sin(w) * e_md
+    u[..., 1, 0] = 1j * dp.sin_xi * np.sin(w) * np.conj(e_md)
+    return np.exp(-1j * dp.eta * t)[..., None, None] * u
 
 
 _LAMBDA_ATOL = 1e-12  # |lambda_nl| that full_propagator_analytic still takes as zero
@@ -103,7 +120,7 @@ def full_propagator_analytic(p: PhysicalParams, t: float) -> np.ndarray:
     Raises ValueError if |lambda_nl| > 1e-12 (precondition violated) or if t
     is negative or not finite.
     """
-    _check_time(t)
+    _check_times(t)
     dp = derive_params(p)
     if abs(dp.lambda_nl) > _LAMBDA_ATOL:
         raise ValueError(
@@ -139,24 +156,44 @@ def rotating_frame_hamiltonian(p: PhysicalParams) -> tuple[np.ndarray, np.ndarra
     n = p.n_atoms
     na = n - np.arange(n + 1)
     nb = n - na
-    diag = (
+    diag = _undetuned_diagonal(p, na, nb)
+    return diag - 0.5 * p.delta * (na - nb), -p.g * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
+
+
+def _undetuned_diagonal(p: PhysicalParams, na, nb):
+    """The diagonal of H_U at delta = 0, at the Fock states with na atoms in mode a and nb in b."""
+    return (
         (p.omega_a - p.gamma_a) * na
         + (p.omega_b - p.gamma_b) * nb
         + p.gamma_a * na**2
         + p.gamma_b * nb**2
         + 2.0 * p.gamma_ab * na * nb
     )
-    return diag - 0.5 * p.delta * (na - nb), -p.g * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
 
 
 def spectral_radius_bound(p: PhysicalParams) -> float:
     """Cheap upper estimate of the spectral radius of RK4's Hamiltonian.
 
-    That is H_U at delta = 0 with unit-modulus phases on its off-diagonal;
-    RK4 steps should satisfy dt * spectral_radius_bound(p) < 0.1.
+    That is H_U at delta = 0 with unit-modulus phases on its off-diagonal:
+    max |diag| + 2 max |off|.  RK4 steps should satisfy
+    dt * spectral_radius_bound(p) < 0.1.  It costs the same at any N: the
+    diagonal is quadratic in k, so its largest |value| lies at k = 0, k = N or
+    an integer next to its vertex, and |off| = g sqrt((N-k)(k+1)), symmetric
+    about k = (N-1)/2, peaks at the integer part of (N-1)/2.
     """
-    diag, off = rotating_frame_hamiltonian(replace(p, delta=0.0))
-    return float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0))
+    n = float(p.n_atoms)
+    # diag = c0 + c1 k + c2 k^2 with k = nb = N - na
+    c2 = p.gamma_a + p.gamma_b - 2.0 * p.gamma_ab
+    c1 = (p.omega_b - p.gamma_b) - (p.omega_a - p.gamma_a) - 2.0 * (p.gamma_a - p.gamma_ab) * n
+    k = [0.0, n]
+    if c2 != 0.0:
+        vertex = -c1 / (2.0 * c2)
+        if 0.0 < vertex < n:  # NaN fails both comparisons
+            k += [math.floor(vertex), math.ceil(vertex)]
+    k = np.array(k)
+    half = (p.n_atoms - 1) // 2
+    off = p.g * math.sqrt((p.n_atoms - half) * (half + 1.0))
+    return float(np.max(np.abs(_undetuned_diagonal(p, n - k, k)))) + 2.0 * off
 
 
 @functools.cache
@@ -271,9 +308,7 @@ def _oracle_blocks(p: PhysicalParams, s0: StateVector, times, window: bool = Fal
     Without it the slice is the whole basis, and psi keeps its bits.
     """
     _check_state(p, s0)
-    times = np.asarray(times, dtype=float)
-    for t in times.tolist():
-        _check_time(t)
+    times = _check_times(times)
     evals, evecs = _tridiagonal_eigh(*rotating_frame_hamiltonian(p))
     coeffs = evecs.T @ s0.amplitudes.real + 1j * (evecs.T @ s0.amplitudes.imag)
     kept = _occupied_window(coeffs) if window else slice(None)
@@ -353,7 +388,7 @@ def evolve_rk4(p: PhysicalParams, s0: StateVector, t: float, dt: float) -> State
     _check_state(p, s0)
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    _check_time(t)
+    _check_times(t)
 
     n = p.n_atoms
     k = np.arange(n + 1)

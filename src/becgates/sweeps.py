@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .evolve import evolve_oracle_bloch
+from .evolve import evolve_oracle_bloch, qubit_propagator
 from .fock import AcsParams, BlochVector, acs_state
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
@@ -28,7 +28,7 @@ from .gates import (
     gate_conditions,
     run_gate,
 )
-from .params import PhysicalParams, ValidationError
+from .params import PhysicalParams, ValidationError, derive_params
 
 __all__ = [
     "FidelityGrid",
@@ -87,22 +87,30 @@ class FidelityGrid:
 
 @dataclass
 class Trajectory:
-    """Bloch-vector samples at strictly increasing times."""
+    """Bloch-vector samples at strictly increasing times: rows[j] = (x, y, z) at times[j]."""
 
     times: np.ndarray
-    points: list[BlochVector]
+    rows: np.ndarray  # shape (len(times), 3)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) != len(self.points):
-            raise ValueError("times and points must have equal lengths")
+        if len(self.times) != len(self.rows):
+            raise ValueError("times and rows must have equal lengths")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+        self.rows = np.asarray(self.rows, dtype=float)
+        if self.rows.shape != (len(self.times), 3):
+            raise ValueError(f"rows must have shape {(len(self.times), 3)}, got {self.rows.shape}")
+
+    @property
+    def points(self) -> list[BlochVector]:
+        """The rows as Bloch vectors."""
+        return [BlochVector(x, y, z) for x, y, z in self.rows.tolist()]
 
     def to_csv(self) -> str:
         lines = ["t,x,y,z"]
-        for t, b in zip(self.times, self.points):
-            lines.append(f"{t:.17g},{b.x:.17g},{b.y:.17g},{b.z:.17g}")
+        lines += ["%.17g,%.17g,%.17g,%.17g" % (t, x, y, z)
+                  for t, x, y, z in np.column_stack((self.times, self.rows)).tolist()]
         return "\n".join(lines) + "\n"
 
 
@@ -235,16 +243,27 @@ def sweep_delta(
 def trajectory(
     p: PhysicalParams, initial: AcsParams, t_final: float, n_samples: int
 ) -> Trajectory:
-    """Bloch vectors of the oracle-evolved state at uniformly spaced times.
+    """Bloch vectors of the evolved state at uniformly spaced times.
 
-    The states are propagated in blocks from one eigendecomposition and each
-    block is reduced to its Bloch vectors at once, so no state is kept per
-    sample.
+    At zero nonlinearity (lambda_nl exactly 0, as run_gate dispatches) an ACS
+    stays the ACS of its rotated spinor (Arecchi et al., PRA 6, 2211, 1972),
+    so each row is the Bloch vector of (a, b) = U(t) initial.spinor, with U
+    the 2x2 propagator evaluated on all the times at once: no N-particle
+    state and no eigensolve, at a cost that does not depend on N.  Otherwise
+    the oracle propagates the ACS in blocks from one eigendecomposition, and
+    each block is reduced to its Bloch vectors at once, so no state is kept
+    per sample.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
     times = np.linspace(0.0, t_final, n_samples)
-    rows = evolve_oracle_bloch(p, acs_state(initial, p.n_atoms), times)
-    return Trajectory(times=times, points=[BlochVector(x, y, z) for x, y, z in rows.tolist()])
+    if derive_params(p).lambda_nl == 0.0:
+        a, b = (qubit_propagator(p, times) @ initial.spinor).T
+        ab = a.conj() * b
+        aa, bb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
+        rows = np.column_stack((2.0 * ab.real, 2.0 * ab.imag, aa - bb)) / (aa + bb)[:, None]
+    else:
+        rows = evolve_oracle_bloch(p, acs_state(initial, p.n_atoms), times)
+    return Trajectory(times=times, rows=rows)

@@ -7,6 +7,8 @@ import pytest
 from becgates import cli
 from becgates.cli import main
 from becgates.fock import state_from_csv
+from becgates.gates import GateId, gate_conditions, params_for_gate
+from becgates.params import params_to_dict
 
 
 def run(capsys, *argv):
@@ -420,7 +422,8 @@ def test_sweep_cell_overflow_exits_two_naming_both_fields(tmp_path, capsys):
     "command,config,field",
     [
         ("evolve", {"params": {**PARAMS_NOT, "n_atoms": 1000}}, "n_atoms"),
-        ("trajectory", {"params": {**PARAMS_NOT, "n_atoms": 1000}}, "n_atoms"),
+        # gamma_ab != 0: lambda = -0.01, so the trajectory solves; at lambda = 0 it would not
+        ("trajectory", {"params": {**PARAMS_NOT, "n_atoms": 1000, "gamma_ab": 0.02}}, "n_atoms"),
         ("trajectory", {"n_samples": 10**5}, "n_samples"),
         ("sweep", {"n_atoms": 1000, "lambda_values": [0.0, 0.01]}, "n_atoms"),
     ],
@@ -460,6 +463,26 @@ def test_closed_form_sweeps_need_no_memory_guard(tmp_path, capsys, monkeypatch, 
     path = write_config(tmp_path, "c.json", config)
     code, _, err = run(capsys, "sweep", "--config", path, "--output", str(tmp_path / "o.csv"))
     assert code == 0, err
+
+
+@pytest.mark.parametrize("n_atoms", [10**6, 10**9])
+def test_zero_lambda_trajectory_needs_no_solver_memory(tmp_path, capsys, monkeypatch, n_atoms):
+    # the closed form solves nothing: 1 MB of physical memory takes a Y gate at any N
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1e6)
+    spec = gate_conditions(GateId.Y, 1.0)
+    config = {"params": params_to_dict(params_for_gate(spec, n_atoms)),
+              "initial": {"theta": 1.1, "phi": 0.4}, "t_final": spec.t_gate, "n_samples": 1001}
+    path = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o.csv"
+    code, _, err = run(capsys, "trajectory", "--config", path, "--output", str(out))
+    assert code == 0, err
+    assert len(out.read_text().splitlines()) == 1002
+    # its rows still count: 10^4 samples take more than 1 MB
+    path = write_config(tmp_path, "c.json", {**config, "n_samples": 10**4})
+    code, _, err = run(capsys, "trajectory", "--config", path, "--output", str(tmp_path / "p.csv"))
+    assert code == 2
+    assert err.count("\n") == 1 and "field 'n_samples'" in err and "physical memory" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_failed_write_leaves_neither_file(tmp_path, capsys, monkeypatch):

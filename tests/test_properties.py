@@ -18,6 +18,7 @@ from becgates.evolve import (
     _BLOCK,
     evolve_oracle,
     evolve_oracle_at_times,
+    evolve_oracle_bloch,
     evolve_rk4,
     full_propagator_analytic,
     qubit_propagator,
@@ -292,11 +293,46 @@ def zero_lambda_params(draw):
                         g=1.1, delta=-0.5, n_atoms=25),
          AcsParams(theta=1.2, phi=0.4), 3.0, 2 * _BLOCK + 44)  # two full blocks and a partial one
 def test_trajectory_at_zero_lambda_matches_spinor_rotation(p, initial, t_final, n_samples):
-    # an ACS stays an ACS, and its Bloch vector is that of its spinor
+    # an ACS stays an ACS, and its Bloch vector is that of its spinor; trajectory takes that
+    # closed form at lambda = 0, so it is held against the oracle on the same times as well
     assert derive_params(p).lambda_nl == 0.0
     tr = trajectory(p, initial, t_final, n_samples)
+    oracle = evolve_oracle_bloch(p, acs_state(initial, p.n_atoms), tr.times)
+    assert tr.rows.shape == oracle.shape == (n_samples, 3)
+    assert np.max(np.abs(tr.rows - oracle)) < 1e-12
     for t, point in zip(tr.times, tr.points):
         a, b = qubit_propagator(p, t) @ initial.spinor
         ab = a.conjugate() * b
         ref = (2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2)
         assert max(abs(point.x - ref[0]), abs(point.y - ref[1]), abs(point.z - ref[2])) < 1e-12
+
+
+@PROPERTY
+@given(params(), st.lists(times, min_size=1, max_size=8))
+def test_qubit_propagator_on_an_array_of_times_matches_each_scalar_call(p, ts):
+    u = qubit_propagator(p, np.array(ts))
+    assert u.shape == (len(ts), 2, 2)
+    for t, u_t in zip(ts, u):
+        assert np.max(np.abs(u_t - qubit_propagator(p, t))) <= 1e-15
+    if len(ts) % 2 == 0:  # any shape of times: t.shape + (2, 2)
+        assert np.array_equal(qubit_propagator(p, np.reshape(ts, (2, -1))),
+                              u.reshape(2, -1, 2, 2))
+
+
+def spectral_radius_reference(p: PhysicalParams) -> float:
+    """max |diag| + 2 max |off| of H_U at delta = 0, read off its (N+1)-arrays."""
+    diag, off = rotating_frame_hamiltonian(replace(p, delta=0.0))
+    return float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0))
+
+
+@PROPERTY
+@given(st.builds(lambda p, n: replace(p, n_atoms=n), params(),
+                 st.sampled_from([1, 2, 3, 1000]) | st.integers(1, 5000)))
+# a quadratic diagonal whose largest |value| lies at its vertex, concave and convex
+@example(PhysicalParams(omega_a=0.3, omega_b=-0.2, gamma_a=0.01, gamma_b=-0.02, gamma_ab=0.05,
+                        g=0.7, delta=0.0, n_atoms=1000))
+@example(PhysicalParams(omega_a=0.3, omega_b=-0.2, gamma_a=0.0, gamma_b=0.0, gamma_ab=-0.05,
+                        g=0.7, delta=1.5, n_atoms=999))
+def test_spectral_radius_bound_in_closed_form_matches_the_arrays(p):
+    ref = spectral_radius_reference(p)
+    assert abs(spectral_radius_bound(p) - ref) <= 1e-14 * ref

@@ -238,6 +238,23 @@ def test_trajectory_memory_does_not_grow_with_samples_times_states():
     assert growth < 0.25 * 16 * (n + 1) * 7000
 
 
+def test_zero_lambda_trajectory_builds_no_state():
+    # the closed form takes a 2x2 propagator per time: one state at N = 10^6 would take 16 MB
+    n = 10**6
+    spec = gate_conditions(GateId.Y, 1.0)
+    p = params_for_gate(spec, n)
+    tracemalloc.start()
+    try:
+        tr = trajectory(p, INITIAL, spec.t_gate, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    # Y sends (sin theta, 0, cos theta) to (-sin theta, 0, -cos theta)
+    theta = INITIAL.theta
+    assert np.max(np.abs(tr.rows[-1] - (-math.sin(theta), 0.0, -math.cos(theta)))) < 1e-9
+
+
 def test_zero_lambda_cells_build_no_state():
     # a lambda = 0 cell is F1**N in closed form: its cost must not grow with N
     n, ratios = 10**6, [0.0, 0.001]
@@ -278,9 +295,9 @@ def test_trajectory_validation_container():
 
     pts = [BlochVector(0, 0, 1), BlochVector(0, 0, 1)]
     with pytest.raises(ValueError, match="strictly increasing"):
-        Trajectory(times=np.array([0.0, 0.0]), points=pts)
+        Trajectory(times=np.array([0.0, 0.0]), rows=pts)
     with pytest.raises(ValueError, match="equal lengths"):
-        Trajectory(times=np.array([0.0]), points=pts)
+        Trajectory(times=np.array([0.0]), rows=pts)
 
 
 def test_csv_headers():
@@ -292,3 +309,11 @@ def test_csv_headers():
     p = params_for_gate(spec, 5)
     tr = trajectory(p, INITIAL, 1.0, 3)
     assert tr.to_csv().splitlines()[0] == "t,x,y,z"
+
+
+@pytest.mark.parametrize("gamma_ab", [0.0, 0.02])
+def test_trajectory_csv_formats_every_row_to_17_digits(gamma_ab):
+    spec = gate_conditions(GateId.HADAMARD, 1.0)
+    tr = trajectory(params_for_gate(spec, 20, {"gamma_ab": gamma_ab}), INITIAL, spec.t_gate, 300)
+    lines = [f"{t:.17g},{b.x:.17g},{b.y:.17g},{b.z:.17g}" for t, b in zip(tr.times, tr.points)]
+    assert tr.to_csv() == "\n".join(["t,x,y,z"] + lines) + "\n"
