@@ -27,6 +27,7 @@ import os
 import sys
 import traceback
 from dataclasses import asdict
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -140,15 +141,15 @@ def _physical_memory() -> float:
 
 
 # a trajectory sample's time, Bloch row (the closed form's 2x2 propagator too) and CSV line
-# (traced at either nonlinearity: about 350)
+# (traced at either nonlinearity: about 310)
 _ROW_BYTES = 512
 
 
-def _check_memory(field: str, what: str, need: float) -> None:
+def _check_memory(field: str, what: str, need: int) -> None:
     memory = _physical_memory()
-    if need > memory:
+    if need > memory:  # an exact int need: neither this nor Decimal overflows at any n_atoms
         raise ValidationError(
-            f"field '{field}': {what} needs about {need / 2**30:.3g} GiB, "
+            f"field '{field}': {what} needs about {Decimal(need) / 2**30:.3g} GiB, "
             f"more than the {memory / 2**30:.3g} GiB of physical memory"
         )
 

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import StateVector, _bloch_rows, pseudo_spin_matrices
+from .fock import StateVector, _bloch_rows, _ladder, pseudo_spin_matrices
 from .params import PhysicalParams, derive_params
 
 __all__ = [
@@ -157,7 +157,7 @@ def rotating_frame_hamiltonian(p: PhysicalParams) -> tuple[np.ndarray, np.ndarra
     na = n - np.arange(n + 1)
     nb = n - na
     diag = _undetuned_diagonal(p, na, nb)
-    return diag - 0.5 * p.delta * (na - nb), -p.g * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
+    return diag - 0.5 * p.delta * (na - nb), -p.g * _ladder(n)
 
 
 def _undetuned_diagonal(p: PhysicalParams, na, nb):

@@ -13,7 +13,6 @@ Jx = a'b + ab', Jy = -i(a'b - ab'), Jz = n_a - n_b, which obey
 from __future__ import annotations
 
 import cmath
-import io
 import math
 from dataclasses import dataclass
 
@@ -130,6 +129,12 @@ def acs_params_from_state(s: StateVector) -> AcsParams:
     return AcsParams(theta=theta, phi=phi)
 
 
+def _ladder(n_atoms: int) -> np.ndarray:
+    """The bosonic elements sqrt((N-k)(k+1)) = <N-k-1, k+1| a b' |N-k, k>, for k = 0..N-1."""
+    k = np.arange(n_atoms)
+    return np.sqrt((n_atoms - k) * (k + 1.0))
+
+
 def pseudo_spin_matrices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (N+1)-dimensional matrices (Jx, Jy, Jz).
 
@@ -137,22 +142,19 @@ def pseudo_spin_matrices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     elements sqrt((N-k)(k+1)) coupling k <-> k+1.
     """
     _check_n_atoms(n_atoms)
-    n = n_atoms
-    k = np.arange(n)
-    off = np.sqrt((n - k) * (k + 1.0))
+    off = _ladder(n_atoms)
     lower = np.diag(off, -1)  # a b' block: k -> k+1
     upper = np.diag(off, 1)  # a'b block: k+1 -> k
     jx = (upper + lower).astype(complex)
     jy = -1j * (upper - lower)
-    jz = np.diag(n - 2.0 * np.arange(n + 1)).astype(complex)
+    jz = np.diag(n_atoms - 2.0 * np.arange(n_atoms + 1)).astype(complex)
     return jx, jy, jz
 
 
 def _bloch_rows(amps: np.ndarray) -> np.ndarray:
     """(<Jx>, <Jy>, <Jz>)/N of the amplitude vectors along the first axis, on a new last axis."""
     n = len(amps) - 1
-    k = np.arange(n + 1)
-    off = np.sqrt((n - k[:-1]) * (k[:-1] + 1.0))
+    off, dn = _ladder(n), n - 2.0 * np.arange(n + 1)
     re, im = amps.real, amps.imag
 
     def dot(u, w, v):  # sum of u w v over the Fock index, with no temporary the size of amps
@@ -161,7 +163,7 @@ def _bloch_rows(amps: np.ndarray) -> np.ndarray:
     # <a'b> = sum_k off_k conj(amps_k) amps_(k+1), in real arithmetic
     x = dot(re[:-1], off, re[1:]) + dot(im[:-1], off, im[1:])
     y = dot(re[:-1], off, im[1:]) - dot(im[:-1], off, re[1:])
-    jz = dot(re, n - 2.0 * k, re) + dot(im, n - 2.0 * k, im)
+    jz = dot(re, dn, re) + dot(im, dn, im)
     return np.stack((2.0 * x, 2.0 * y, jz), axis=-1) / n
 
 
@@ -171,28 +173,25 @@ def bloch_vector(s: StateVector) -> BlochVector:
     return BlochVector(x=x, y=y, z=z)
 
 
+def _csv(header: str, columns) -> str:
+    """Every output's CSV: the header line, then the stacked columns' rows, each value as %.17g."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
 def state_to_csv(s: StateVector) -> str:
     """Serialize a state to CSV with columns k, re, im (17 significant digits)."""
-    lines = ["k,re,im"]
-    for k, amp in enumerate(s.amplitudes):
-        lines.append(f"{k},{amp.real:.17g},{amp.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    amps = s.amplitudes  # %.17g writes each k, a float below 2**53, as its integer digits
+    return _csv("k,re,im", (np.arange(len(amps)), amps.real, amps.imag))
 
 
 def state_from_csv(text: str) -> StateVector:
-    buf = io.StringIO(text)
-    header = buf.readline().strip()
+    header, *lines = [line.strip() for line in text.split("\n")]
     if header != "k,re,im":
         raise ValueError(f"expected header 'k,re,im', got {header!r}")
-    rows = []
-    for line in buf:
-        line = line.strip()
-        if not line:
-            continue
-        k_str, re_str, im_str = line.split(",")
-        rows.append((int(k_str), float(re_str), float(im_str)))
-    rows.sort()
+    rows = sorted((int(k), float(re), float(im))
+                  for k, re, im in (line.split(",") for line in lines if line))
     if [k for k, _, _ in rows] != list(range(len(rows))):
         raise ValueError("CSV rows must cover k = 0..N exactly once")
-    amps = np.array([complex(re, im) for _, re, im in rows])
-    return StateVector(n_atoms=len(rows) - 1, amplitudes=amps)
+    return StateVector(n_atoms=len(rows) - 1, amplitudes=[complex(re, im) for _, re, im in rows])

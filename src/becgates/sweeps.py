@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .evolve import evolve_oracle_bloch, qubit_propagator
-from .fock import AcsParams, BlochVector, acs_state
+from .fock import AcsParams, BlochVector, _csv, acs_state
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
     GateId,
@@ -79,10 +79,9 @@ class FidelityGrid:
 
     def to_csv(self) -> str:
         axes = [a for a in (self.axis1, self.axis2) if a is not None]
-        lines = [",".join([f"axis{k + 1}" for k in range(len(axes))] + ["fidelity"])]
-        lines += [",".join(f"{v:.17g}" for v in (*cell, f))
-                  for cell, f in zip(itertools.product(*axes), self.fidelities.flat)]
-        return "\n".join(lines) + "\n"
+        header = ",".join([f"axis{k + 1}" for k in range(len(axes))] + ["fidelity"])
+        cells = np.meshgrid(*axes, indexing="ij")  # row-major, axis1 first, as the fidelities
+        return _csv(header, [c.ravel() for c in (*cells, self.fidelities)])
 
 
 @dataclass
@@ -108,10 +107,7 @@ class Trajectory:
         return [BlochVector(x, y, z) for x, y, z in self.rows.tolist()]
 
     def to_csv(self) -> str:
-        lines = ["t,x,y,z"]
-        lines += ["%.17g,%.17g,%.17g,%.17g" % (t, x, y, z)
-                  for t, x, y, z in np.column_stack((self.times, self.rows)).tolist()]
-        return "\n".join(lines) + "\n"
+        return _csv("t,x,y,z", (self.times, self.rows))
 
 
 def _usable_cores() -> int:
@@ -211,8 +207,9 @@ def sweep_lambda_gamma(
     Each cell is the N-particle overlap of the evolved state with the target
     ACS (see run_gate).  The lambda = 0 row is F1**N in closed form, where
     F1 is the single-atom (spinor) fidelity, exact down to float underflow
-    near 1e-308.  Cells with lambda != 0 come from the eigen-oracle, and
-    values below ~1e-30 there are its roundoff, not the true overlap.
+    near 1e-308.  Cells with lambda != 0 come from the eigen-oracle, whose
+    roundoff floor grows with machine epsilon times ||H|| t_gate: at N = 1000
+    values below about 1e-23 are roundoff, not the true overlap.
     """
     return _sweep("lambda-gamma", gate, (lambda_values, dgamma_ratio_values), n_atoms, initial,
                   workers, detuning_factor)

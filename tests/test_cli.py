@@ -449,6 +449,18 @@ def test_memory_guard_counts_a_trajectory_as_one_block_and_its_rows(monkeypatch)
         cli._check_solver_memory("n_samples", 1000, 200_000)
 
 
+@pytest.mark.parametrize("exponent", [170, 400])
+def test_solver_footprint_beyond_the_float_range_exits_two(tmp_path, capsys, monkeypatch,
+                                                           exponent):
+    # the solve needs 16 (N+1)^2 bytes, past the float range in bytes and in GiB alike
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2.0**40)
+    code, _, err = run(capsys, "sweep", "--kind", "lambda-gamma", "--gate", "z",
+                       "--n-atoms", str(10**exponent), "--output", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err.count("\n") == 1 and "field 'n_atoms'" in err and "physical memory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "config",
     [

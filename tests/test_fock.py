@@ -148,6 +148,19 @@ def test_csv_round_trip_is_exact():
     assert np.array_equal(s2.amplitudes, s.amplitudes)
 
 
+def test_csv_writes_k_as_an_integer_and_each_part_to_17_digits():
+    rng = np.random.default_rng(19)
+    amps = rng.normal(size=12) + 1j * rng.normal(size=12)
+    amps /= np.linalg.norm(amps)
+    amps[3] = complex(-0.0, amps[3].imag)
+    amps[5] = complex(amps[5].real, -0.0)
+    s = StateVector(n_atoms=11, amplitudes=amps)
+    lines = [f"{k},{a.real:.17g},{a.imag:.17g}" for k, a in enumerate(s.amplitudes)]
+    text = state_to_csv(s)
+    assert text == "\n".join(["k,re,im"] + lines) + "\n"
+    assert "\n3,-0," in text and ",-0\n6," in text and "\n11," in text
+
+
 def test_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="k,re,im"):
         state_from_csv("a,b,c\n0,1,0\n")

@@ -317,3 +317,20 @@ def test_trajectory_csv_formats_every_row_to_17_digits(gamma_ab):
     tr = trajectory(params_for_gate(spec, 20, {"gamma_ab": gamma_ab}), INITIAL, spec.t_gate, 300)
     lines = [f"{t:.17g},{b.x:.17g},{b.y:.17g},{b.z:.17g}" for t, b in zip(tr.times, tr.points)]
     assert tr.to_csv() == "\n".join(["t,x,y,z"] + lines) + "\n"
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one-axis", "two-axes"])
+def test_grid_csv_formats_every_cell_to_17_digits(two):
+    # cells run row-major, axis1 first; a NaN cell and a -0.0 axis value keep their spelling
+    axis1 = np.array([-0.0, 0.1, 1.0 / 3.0])
+    axis2 = np.array([0.0, 2.0 / 3.0]) if two else None
+    fidelities = np.random.default_rng(23).random((3, 2 if two else 1))
+    fidelities[1, 0] = math.nan
+    grid = FidelityGrid(GateId.NOT, "lambda", axis1, "dgamma_over_gamma" if two else None, axis2,
+                        fidelities, 5, INITIAL)
+    cells = [(a, b) for a in axis1 for b in axis2] if two else [(a,) for a in axis1]
+    lines = [",".join(f"{v:.17g}" for v in (*cell, f)) for cell, f in zip(cells, fidelities.flat)]
+    header = "axis1,axis2,fidelity" if two else "axis1,fidelity"
+    text = grid.to_csv()
+    assert text == "\n".join([header] + lines) + "\n"
+    assert "\n-0," in text and ",nan\n" in text
