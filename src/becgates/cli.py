@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolve import _BLOCK, evolve_oracle, qubit_propagator, spectral_radius_bound
+from .evolve import (_BLOCK, _pure_rotation, _rotated_acs, evolve_oracle, qubit_propagator,
+                     spectral_radius_bound)
 from .fock import AcsParams, acs_state, state_to_csv
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
@@ -44,14 +45,7 @@ from .gates import (
     params_for_gate,
     up_to_phase_deviation,
 )
-from .params import (
-    ValidationError,
-    _number,
-    _reject,
-    derive_params,
-    params_from_dict,
-    params_to_dict,
-)
+from .params import ValidationError, _number, _reject, params_from_dict, params_to_dict
 from .sweeps import SWEEP_KINDS, sweep_delta, sweep_lambda_gamma, trajectory
 
 __all__ = ["main", "entrypoint"]
@@ -140,8 +134,8 @@ def _physical_memory() -> float:
         return math.inf
 
 
-# a trajectory sample's time, Bloch row (the closed form's 2x2 propagator too) and CSV line
-# (traced at either nonlinearity: about 310)
+# one output row: a trajectory sample (time, Bloch row, 2x2 propagator, CSV line; traced at about
+# 310 at either nonlinearity) or a lambda = 0 state's amplitude and CSV line (traced at about 190)
 _ROW_BYTES = 512
 
 
@@ -164,8 +158,7 @@ def _check_solver_memory(field: str, n_atoms: int, n_samples: int = 0) -> None:
     """
     block = min(n_samples, _BLOCK)
     need = 16 * (n_atoms + 1) * (n_atoms + 1 + 8 * block) + _ROW_BYTES * n_samples
-    samples = f" and {n_samples} samples" if n_samples else ""
-    _check_memory(field, f"the eigensolve at n_atoms = {n_atoms}{samples}", need)
+    _check_memory(field, "the eigensolve" + (" and its samples" if n_samples else ""), need)
 
 
 def _params_and_initial(cfg: dict, time_key: str):
@@ -185,6 +178,9 @@ def _params_and_initial(cfg: dict, time_key: str):
 
 def _resolve_evolve(cfg: dict):
     p, initial, t, resolved = _params_and_initial(cfg, "t")
+    if _pure_rotation(p):  # the closed form, which solves nothing, at any n_atoms
+        _check_memory("n_atoms", "the state's rows", _ROW_BYTES * (p.n_atoms + 1))
+        return resolved, None, lambda: state_to_csv(_rotated_acs(p, initial.spinor, t))
     _check_solver_memory("n_atoms", p.n_atoms)
     return resolved, None, lambda: state_to_csv(evolve_oracle(p, acs_state(initial, p.n_atoms), t))
 
@@ -193,8 +189,8 @@ def _resolve_trajectory(cfg: dict):
     # at lambda = 0 the trajectory takes the closed form, which solves nothing, at any n_atoms
     p, initial, t_final, resolved = _params_and_initial(cfg, "t_final")
     n_samples = resolved["n_samples"] = _integer("n_samples", cfg.get("n_samples", 101), 2)
-    if derive_params(p).lambda_nl == 0.0:
-        _check_memory("n_samples", f"the trajectory of {n_samples} samples", _ROW_BYTES * n_samples)
+    if _pure_rotation(p):
+        _check_memory("n_samples", "the trajectory's rows", _ROW_BYTES * n_samples)
     else:
         _check_solver_memory("n_atoms", p.n_atoms)
         _check_solver_memory("n_samples", p.n_atoms, n_samples)
@@ -249,7 +245,14 @@ def _resolve_sweep(cfg: dict):
         raise ValidationError(f"field 'detuning_factor': {exc}") from None
     axes = {key: _axis(key, cfg.get(key, default.tolist())).tolist()
             for key, _, default in row.axes}
-    if any(axes.get("lambda_values", [])):  # lambda = 0 cells take the closed form, no solve
+    try:  # lambda = 0 cells take the closed form; the guard applies from the first cell that solves
+        solves = any(not _pure_rotation(params_for_gate(spec, n_atoms, overrides))
+                     for cell in itertools.product(*axes.values())
+                     for overrides in row.realize(spec, *cell)
+                     if all(map(math.isfinite, overrides.values())))
+    except OverflowError:  # an n_atoms beyond the floating-point range, which no cell can take
+        solves = True
+    if solves:
         _check_solver_memory("n_atoms", n_atoms)
     _check_cells(spec, n_atoms, row.realize, axes)
     resolved.update(axes)

@@ -4,9 +4,10 @@ Three independent routes compute the same dynamics:
 
 * :func:`qubit_propagator` -- the analytic 2x2 rotation-product propagator
   acting on the (alpha, beta) spinor of an atomic coherent state, at one
-  time or at an array of times at once.  At zero nonlinearity an atomic
-  coherent state stays the one of its rotated spinor, so the gate fidelity
-  and the Bloch trajectory come from it alone.
+  time or at an array of times at once.  Where :func:`_pure_rotation` holds
+  (lambda_nl exactly 0) an atomic coherent state stays the one of its
+  rotated spinor, so the gate fidelity, the Bloch trajectory and the state
+  (:func:`_rotated_acs`) come from it alone.  The oracle never dispatches.
 * :func:`full_propagator_analytic` -- the analytic (N+1)-dimensional
   propagator U(t) V exp(-i H_V t) V', exact when the nonlinear parameter
   vanishes.
@@ -39,6 +40,7 @@ any N.
 
 from __future__ import annotations
 
+import cmath
 import ctypes
 import functools
 import math
@@ -46,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock import StateVector, _bloch_rows, _ladder, pseudo_spin_matrices
+from .fock import StateVector, _bloch_rows, _ladder, acs_from_spinor, pseudo_spin_matrices
 from .params import PhysicalParams, derive_params
 
 __all__ = [
@@ -104,6 +106,28 @@ def qubit_propagator(p: PhysicalParams, t) -> np.ndarray:
     u[..., 0, 1] = 1j * dp.sin_xi * np.sin(w) * e_md
     u[..., 1, 0] = 1j * dp.sin_xi * np.sin(w) * np.conj(e_md)
     return np.exp(-1j * dp.eta * t)[..., None, None] * u
+
+
+def _pure_rotation(p: PhysicalParams) -> bool:
+    """Whether lambda_nl is exactly 0, where the dynamics is an SU(2) rotation of every atom."""
+    return derive_params(p).lambda_nl == 0.0
+
+
+def _rotated_acs(p: PhysicalParams, spinor: np.ndarray, t: float) -> StateVector:
+    """State at time t of the ACS of spinor, global phase included; valid at lambda_nl = 0 only.
+
+    An ACS stays the ACS of its rotated spinor (Arecchi et al., PRA 6, 2211, 1972): the state
+    is e^{-i eta t} sqrt(C(N,k)) r0^(N-k) r1^k, with r = e^{i eta t} w and w = U(t) spinor.
+    acs_from_spinor drops the phase of r0^N, restored here; at r0 = 0 (the pole k = N) it
+    takes arg w0 as 0, that is arg r0 as eta t.  O(N), with no solve.
+    """
+    n, eta = p.n_atoms, derive_params(p).eta
+    w = qubit_propagator(p, t) @ spinor
+    r0 = w[0] * cmath.exp(1j * eta * t)
+    arg0 = cmath.phase(r0) if r0 else eta * t
+    state = acs_from_spinor(*w, n)
+    state.amplitudes *= cmath.exp(1j * (n * arg0 - eta * t))
+    return state
 
 
 _LAMBDA_ATOL = 1e-12  # |lambda_nl| that full_propagator_analytic still takes as zero

@@ -20,9 +20,9 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .evolve import evolve_oracle, qubit_propagator
+from .evolve import _pure_rotation, _rotated_acs, evolve_oracle, qubit_propagator
 from .fock import AcsParams, StateVector, acs_from_spinor, acs_state
-from .params import PhysicalParams, derive_params
+from .params import PhysicalParams
 
 __all__ = [
     "GateId",
@@ -205,36 +205,17 @@ def run_gate(
     nonlinearity it is never built, so the fidelity costs the same at any N.
     """
     p = params_for_gate(spec, n_atoms, overrides)
-    dp = derive_params(p)
-    if dp.lambda_nl == 0.0:
-        return _run_gate_rotation(p, dp.eta, spec, initial.spinor, with_state)
+    if _pure_rotation(p):
+        w = qubit_propagator(p, spec.t_gate) @ initial.spinor
+        target = spec.target @ initial.spinor
+        f1 = abs(np.vdot(target, w)) ** 2 / (np.vdot(target, target).real * np.vdot(w, w).real)
+        # roundoff can put F1 a few ulps above 1, which the power N would amplify
+        f = min(float(f1), 1.0) ** n_atoms
+        return (_rotated_acs(p, initial.spinor, spec.t_gate) if with_state else None), f
     s0 = acs_state(initial, n_atoms)
     final = evolve_oracle(p, s0, spec.t_gate)
     target_state = acs_from_spinor(*(spec.target @ initial.spinor), n_atoms)
     return final if with_state else None, fidelity(target_state, final)
-
-
-def _run_gate_rotation(
-    p: PhysicalParams, eta: float, spec: GateSpec, spinor: np.ndarray, with_state: bool
-) -> tuple[StateVector | None, float]:
-    """run_gate at lambda_nl = 0: F1**N, and the ACS of the rotated spinor if with_state."""
-    n = p.n_atoms
-    t = spec.t_gate
-    w = qubit_propagator(p, t) @ spinor
-    target = spec.target @ spinor
-    f1 = abs(np.vdot(target, w)) ** 2 / (np.vdot(target, target).real * np.vdot(w, w).real)
-    # roundoff can put F1 a few ulps above 1, which the power N would amplify
-    f = min(float(f1), 1.0) ** n
-    if not with_state:
-        return None, f
-    # The state is e^{-i eta t} sqrt(C(N,k)) r0^(N-k) r1^k with r = e^{i eta t} w, the
-    # single-atom rotation; acs_from_spinor drops the phase of r0^N (taking it as 1
-    # when r0 = 0, where the state is the pole k = N), so it is restored here.
-    r0 = w[0] * cmath.exp(1j * eta * t)
-    arg0 = cmath.phase(r0) if r0 else 0.0
-    final = acs_from_spinor(*w, n)
-    final.amplitudes *= cmath.exp(1j * (n * arg0 - eta * t))
-    return final, f
 
 
 def up_to_phase_deviation(u: np.ndarray, target: np.ndarray) -> float:

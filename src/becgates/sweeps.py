@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .evolve import evolve_oracle_bloch, qubit_propagator
-from .fock import AcsParams, BlochVector, _csv, acs_state
+from .evolve import _pure_rotation, evolve_oracle_bloch, qubit_propagator
+from .fock import AcsParams, _bloch_rows, _csv, acs_state
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
     GateId,
@@ -28,7 +28,7 @@ from .gates import (
     gate_conditions,
     run_gate,
 )
-from .params import PhysicalParams, ValidationError, derive_params
+from .params import PhysicalParams, ValidationError
 
 __all__ = [
     "FidelityGrid",
@@ -100,11 +100,6 @@ class Trajectory:
         self.rows = np.asarray(self.rows, dtype=float)
         if self.rows.shape != (len(self.times), 3):
             raise ValueError(f"rows must have shape {(len(self.times), 3)}, got {self.rows.shape}")
-
-    @property
-    def points(self) -> list[BlochVector]:
-        """The rows as Bloch vectors."""
-        return [BlochVector(x, y, z) for x, y, z in self.rows.tolist()]
 
     def to_csv(self) -> str:
         return _csv("t,x,y,z", (self.times, self.rows))
@@ -244,23 +239,19 @@ def trajectory(
 
     At zero nonlinearity (lambda_nl exactly 0, as run_gate dispatches) an ACS
     stays the ACS of its rotated spinor (Arecchi et al., PRA 6, 2211, 1972),
-    so each row is the Bloch vector of (a, b) = U(t) initial.spinor, with U
-    the 2x2 propagator evaluated on all the times at once: no N-particle
-    state and no eigensolve, at a cost that does not depend on N.  Otherwise
-    the oracle propagates the ACS in blocks from one eigendecomposition, and
-    each block is reduced to its Bloch vectors at once, so no state is kept
-    per sample.
+    so each row is the Bloch vector of U(t) initial.spinor, the ACS at N = 1,
+    with U the 2x2 propagator on all the times at once: no eigensolve, at a
+    cost that does not depend on N.  Otherwise the oracle propagates the ACS
+    in blocks from one eigendecomposition, each block reduced to its Bloch
+    vectors at once, so no state is kept per sample.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples!r}")
     if not (math.isfinite(t_final) and t_final > 0):
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
     times = np.linspace(0.0, t_final, n_samples)
-    if derive_params(p).lambda_nl == 0.0:
-        a, b = (qubit_propagator(p, times) @ initial.spinor).T
-        ab = a.conj() * b
-        aa, bb = a.real**2 + a.imag**2, b.real**2 + b.imag**2
-        rows = np.column_stack((2.0 * ab.real, 2.0 * ab.imag, aa - bb)) / (aa + bb)[:, None]
+    if _pure_rotation(p):
+        rows = _bloch_rows((qubit_propagator(p, times) @ initial.spinor).T)
     else:
         rows = evolve_oracle_bloch(p, acs_state(initial, p.n_atoms), times)
     return Trajectory(times=times, rows=rows)

@@ -130,11 +130,26 @@ def test_engine_value_error_is_internal_error(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("engine fault")
 
+    # gamma_ab != 0: lambda = -0.01, so evolve runs the oracle; at lambda = 0 it would not
     monkeypatch.setattr("becgates.cli.evolve_oracle", broken)
-    cfg = write_config(tmp_path, "evolve.json", EVOLVE_CONFIG)
+    cfg = write_config(tmp_path, "evolve.json",
+                       {**EVOLVE_CONFIG, "params": {**PARAMS_NOT, "gamma_ab": 0.02}})
     code, _, err = run(capsys, "evolve", "--config", cfg, "--output", str(tmp_path / "s.csv"))
     assert code == 1
     assert err.splitlines()[-1] == "internal error: engine fault"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_closed_form_value_error_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("closed-form fault")
+
+    # lambda = 0: evolve takes the closed form, so a fault there must exit 1 as well
+    monkeypatch.setattr("becgates.cli._rotated_acs", broken)
+    cfg = write_config(tmp_path, "evolve.json", EVOLVE_CONFIG)
+    code, _, err = run(capsys, "evolve", "--config", cfg, "--output", str(tmp_path / "s.csv"))
+    assert code == 1
+    assert err.splitlines()[-1] == "internal error: closed-form fault"
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -421,7 +436,8 @@ def test_sweep_cell_overflow_exits_two_naming_both_fields(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command,config,field",
     [
-        ("evolve", {"params": {**PARAMS_NOT, "n_atoms": 1000}}, "n_atoms"),
+        # gamma_ab != 0: lambda = -0.01, so evolve solves; at lambda = 0 it would not
+        ("evolve", {"params": {**PARAMS_NOT, "n_atoms": 1000, "gamma_ab": 0.02}}, "n_atoms"),
         # gamma_ab != 0: lambda = -0.01, so the trajectory solves; at lambda = 0 it would not
         ("trajectory", {"params": {**PARAMS_NOT, "n_atoms": 1000, "gamma_ab": 0.02}}, "n_atoms"),
         ("trajectory", {"n_samples": 10**5}, "n_samples"),
@@ -458,6 +474,7 @@ def test_solver_footprint_beyond_the_float_range_exits_two(tmp_path, capsys, mon
                        "--n-atoms", str(10**exponent), "--output", str(tmp_path / "x.csv"))
     assert code == 2
     assert err.count("\n") == 1 and "field 'n_atoms'" in err and "physical memory" in err
+    assert len(err.rstrip("\n")) < 200  # the field is named, its 171 or 401 digits are not
     assert list(tmp_path.iterdir()) == []
 
 
@@ -494,6 +511,27 @@ def test_zero_lambda_trajectory_needs_no_solver_memory(tmp_path, capsys, monkeyp
     code, _, err = run(capsys, "trajectory", "--config", path, "--output", str(tmp_path / "p.csv"))
     assert code == 2
     assert err.count("\n") == 1 and "field 'n_samples'" in err and "physical memory" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_zero_lambda_evolve_needs_no_solver_memory(tmp_path, capsys, monkeypatch):
+    # 64 MB of physical memory: the closed form solves nothing, so a NOT gate takes N = 10^5,
+    # whose solve would need 160 GB; the state's rows still count, and at N = 10^6 they alone
+    # exceed it
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 64e6)
+    spec = gate_conditions(GateId.NOT, 1.0)
+    config = {"params": params_to_dict(params_for_gate(spec, 10**5)),
+              "initial": {"theta": 1.1, "phi": 0.4}, "t": spec.t_gate}
+    path = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o.csv"
+    code, _, err = run(capsys, "evolve", "--config", path, "--output", str(out))
+    assert code == 0, err
+    assert len(out.read_text().splitlines()) == 100_002
+    config["params"]["n_atoms"] = 10**6
+    path = write_config(tmp_path, "c.json", config)
+    code, _, err = run(capsys, "evolve", "--config", path, "--output", str(tmp_path / "p.csv"))
+    assert code == 2
+    assert err.count("\n") == 1 and "field 'n_atoms'" in err and "physical memory" in err
     assert not (tmp_path / "p.csv").exists()
 
 

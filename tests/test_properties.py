@@ -16,6 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from becgates.evolve import (
     _BLOCK,
+    _pure_rotation,
+    _rotated_acs,
     evolve_oracle,
     evolve_oracle_at_times,
     evolve_oracle_bloch,
@@ -300,11 +302,28 @@ def test_trajectory_at_zero_lambda_matches_spinor_rotation(p, initial, t_final, 
     oracle = evolve_oracle_bloch(p, acs_state(initial, p.n_atoms), tr.times)
     assert tr.rows.shape == oracle.shape == (n_samples, 3)
     assert np.max(np.abs(tr.rows - oracle)) < 1e-12
-    for t, point in zip(tr.times, tr.points):
+    for t, (x, y, z) in zip(tr.times, tr.rows):
         a, b = qubit_propagator(p, t) @ initial.spinor
         ab = a.conjugate() * b
         ref = (2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2)
-        assert max(abs(point.x - ref[0]), abs(point.y - ref[1]), abs(point.z - ref[2])) < 1e-12
+        assert max(abs(x - ref[0]), abs(y - ref[1]), abs(z - ref[2])) < 1e-12
+
+
+@PROPERTY
+@given(zero_lambda_params(), states, times)
+@example(PhysicalParams(omega_a=0.7, omega_b=-0.3, gamma_a=0.08, gamma_b=0.0, gamma_ab=0.04,
+                        g=1.1, delta=-0.5, n_atoms=25),
+         AcsParams(theta=1.2, phi=0.4), 3.0)
+@example(PhysicalParams(omega_a=0.2, omega_b=0.5, gamma_a=0.0, gamma_b=0.0, gamma_ab=0.0,
+                        g=0.0, delta=0.3, n_atoms=12),
+         AcsParams(theta=math.pi, phi=1.0), 2.5)  # the pole k = N, where r0 = 0
+def test_closed_form_state_matches_oracle_and_analytic_propagator(p, initial, t):
+    # the lambda = 0 state of the evolve command and run_gate, global phase included
+    assert _pure_rotation(p)
+    state = _rotated_acs(p, initial.spinor, t).amplitudes
+    s0 = acs_state(initial, p.n_atoms)
+    assert np.max(np.abs(state - evolve_oracle(p, s0, t).amplitudes)) < 1e-9
+    assert np.max(np.abs(state - full_propagator_analytic(p, t) @ s0.amplitudes)) < 1e-9
 
 
 @PROPERTY

@@ -177,10 +177,10 @@ def test_not_trajectory_endpoint():
     spec = gate_conditions(GateId.NOT, 1.0)
     p = params_for_gate(spec, 60)
     tr = trajectory(p, AcsParams(theta=theta, phi=0.0), spec.t_gate, 33)
-    end = tr.points[-1]
-    assert abs(end.x - math.sin(theta)) < 1e-6
-    assert abs(end.y) < 1e-6
-    assert abs(end.z + math.cos(theta)) < 1e-6
+    x, y, z = tr.rows[-1]
+    assert abs(x - math.sin(theta)) < 1e-6
+    assert abs(y) < 1e-6
+    assert abs(z + math.cos(theta)) < 1e-6
 
 
 def test_trajectory_frozen_without_coupling():
@@ -191,7 +191,7 @@ def test_trajectory_frozen_without_coupling():
         g=0.0, delta=0.7, n_atoms=30,
     )
     tr = trajectory(p, AcsParams(theta=1.1, phi=0.3), 5.0, 21)
-    zs = np.array([b.z for b in tr.points])
+    zs = tr.rows[:, 2]
     assert np.max(np.abs(zs - zs[0])) < 1e-12
 
 
@@ -200,8 +200,8 @@ def test_trajectory_preserves_bloch_length_at_zero_lambda():
     p = params_for_gate(spec, 45)
     tr = trajectory(p, AcsParams(theta=0.6, phi=1.9), 3 * spec.t_gate, 50)
     assert np.all(np.diff(tr.times) > 0)
-    for b in tr.points:
-        assert abs(b.length() - 1.0) < 1e-8
+    for row in tr.rows:
+        assert abs(np.linalg.norm(row) - 1.0) < 1e-8
 
 
 def test_trajectory_validation():
@@ -315,7 +315,8 @@ def test_csv_headers():
 def test_trajectory_csv_formats_every_row_to_17_digits(gamma_ab):
     spec = gate_conditions(GateId.HADAMARD, 1.0)
     tr = trajectory(params_for_gate(spec, 20, {"gamma_ab": gamma_ab}), INITIAL, spec.t_gate, 300)
-    lines = [f"{t:.17g},{b.x:.17g},{b.y:.17g},{b.z:.17g}" for t, b in zip(tr.times, tr.points)]
+    lines = [f"{t:.17g},{x:.17g},{y:.17g},{z:.17g}"
+             for t, (x, y, z) in zip(tr.times, tr.rows.tolist())]
     assert tr.to_csv() == "\n".join(["t,x,y,z"] + lines) + "\n"
 
 

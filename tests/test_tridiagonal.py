@@ -172,9 +172,9 @@ def test_blocked_trajectory_matches_single_time_oracle_and_chebyshev(monkeypatch
     # every Bloch row against a single-time evolve, all sharing one eigendecomposition
     solve = evolve._tridiagonal_eigh(*evolve.rotating_frame_hamiltonian(p))
     monkeypatch.setattr(evolve, "_tridiagonal_eigh", lambda diag, off: solve)
-    for t, point in zip(tr.times, tr.points):
+    for t, (x, y, z) in zip(tr.times, tr.rows):
         ref = bloch_vector(evolve_oracle(p, s0, t))
-        assert max(abs(point.x - ref.x), abs(point.y - ref.y), abs(point.z - ref.z)) < 1e-12
+        assert max(abs(x - ref.x), abs(y - ref.y), abs(z - ref.z)) < 1e-12
 
 
 def _time_sets(t_gate: float) -> dict:
