@@ -194,6 +194,8 @@ def _resolve_trajectory(cfg: dict):
     else:
         _check_solver_memory("n_atoms", p.n_atoms)
         _check_solver_memory("n_samples", p.n_atoms, n_samples)
+    if np.any(np.diff(np.linspace(0.0, t_final, n_samples)) <= 0.0):  # as trajectory samples
+        _reject("t_final", t_final, f"long enough for {n_samples} distinct sample times")
     return resolved, None, lambda: trajectory(p, initial, t_final, n_samples).to_csv()
 
 

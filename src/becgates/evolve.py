@@ -41,9 +41,11 @@ any N.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import ctypes
 import functools
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -221,12 +223,13 @@ def spectral_radius_bound(p: PhysicalParams) -> float:
 
 
 @functools.cache
-def _dstevd():
-    """LAPACK dstevd from the scipy-openblas ILP64 library bundled with numpy, or None.
+def _openblas():
+    """The scipy-openblas ILP64 library bundled with numpy, or None.
 
     numpy reports the library's name and integer width; its symbols then carry
     the prefix ``scipy_`` and the suffix ``64_``.  Any other build (a 32-bit
-    integer LAPACK, MKL, Accelerate) finds None, and the dense solve runs.
+    integer LAPACK, MKL, Accelerate) finds None.  Loading the library numpy
+    already holds gives numpy's own copy, so its thread count is numpy's.
     """
     try:
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
@@ -236,8 +239,16 @@ def _dstevd():
         root = Path(np.__file__).parent
         (path,) = [*root.parent.glob("numpy.libs/libscipy_openblas64_*"),
                    *root.glob(".dylibs/libscipy_openblas64_*")]
-        func = ctypes.CDLL(str(path)).scipy_dstevd_64_
-    except (AttributeError, KeyError, OSError, TypeError, ValueError):
+        return ctypes.CDLL(str(path))
+    except (KeyError, OSError, TypeError, ValueError):
+        return None
+
+
+@functools.cache
+def _dstevd():
+    """LAPACK dstevd from numpy's scipy-openblas (see _openblas), or None: the dense solve runs."""
+    func = getattr(_openblas(), "scipy_dstevd_64_", None)
+    if func is None:
         return None
     double, int64 = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.float64, np.int64))
     i64 = ctypes.POINTER(ctypes.c_int64)
@@ -246,6 +257,41 @@ def _dstevd():
                      i64, ctypes.c_size_t]
     func.restype = None
     return func
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0  # bodies of _one_blas_thread running now, in any thread
+_pin_saved = 0  # the thread count that the last of them restores
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its thread count.
+
+    The count is process-global, so overlapping bodies share one pin: the
+    first to enter saves the count and the last to leave restores it.
+    Without the library (see _openblas) nothing is pinned.
+    """
+    global _pin_depth, _pin_saved
+    lib = _openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:  # no library, or a release that renamed the calls
+        yield
+        return
+    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
 
 
 def _tridiagonal_eigh(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

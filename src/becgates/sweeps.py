@@ -3,8 +3,12 @@
 Each sweep kind is one row of ``SWEEP_KINDS``: its axes, the gates it
 applies to, and how a cell is realized as physical parameters.  Grid cells
 are independent pure computations, so sweeps may fan out over a thread pool
-of at most the usable cores; results are assembled by index and are bitwise
-identical for any worker count.
+of at most the usable cores; results are assembled by index.  Each sweep
+runs its whole grid with numpy's OpenBLAS pinned to one thread, at every
+worker count, and restores the thread count afterwards: each worker then
+runs single-threaded solves on its own core, and a cell's bits do not
+depend on the worker count at any N.  Where numpy bundles no such library
+(the dense fallback) nothing is pinned.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .evolve import _pure_rotation, evolve_oracle_bloch, qubit_propagator
+from .evolve import _one_blas_thread, _pure_rotation, evolve_oracle_bloch, qubit_propagator
 from .fock import AcsParams, _bloch_rows, _csv, acs_state
 from .gates import (
     DEFAULT_DETUNING_FACTOR,
@@ -110,7 +114,7 @@ def _usable_cores() -> int:
 
 
 def _grid_map(cells, func, workers: int):
-    # threads beyond the usable cores only contend, each driving a multithreaded BLAS
+    # _sweep pins BLAS to one thread, so a worker solves on one core; more workers only contend
     workers = min(workers, _usable_cores())
     if workers <= 1:
         return [func(c) for c in cells]
@@ -167,7 +171,8 @@ def _sweep(kind: str, gate: GateId, values, n_atoms: int, initial: AcsParams,
         fs = [_cell_fidelity(spec, initial, n_atoms, o) for o in row.realize(spec, *cell)]
         return math.nan if any(map(math.isnan, fs)) else min(fs)
 
-    flat = _grid_map(list(itertools.product(*axes)), one, workers)
+    with _one_blas_thread():
+        flat = _grid_map(list(itertools.product(*axes)), one, workers)
     two = len(axes) == 2
     return FidelityGrid(
         gate=gate,

@@ -2,13 +2,15 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from becgates import cli
 from becgates.cli import main
-from becgates.fock import state_from_csv
+from becgates.evolve import evolve_oracle, full_propagator_analytic
+from becgates.fock import AcsParams, acs_state, state_from_csv
 from becgates.gates import GateId, gate_conditions, params_for_gate
-from becgates.params import params_to_dict
+from becgates.params import params_from_dict, params_to_dict
 
 
 def run(capsys, *argv):
@@ -99,6 +101,25 @@ def test_evolve_writes_state_csv(tmp_path, capsys):
     # NOT conditions drive the pole to the opposite pole
     assert abs(state.amplitudes[10]) == pytest.approx(1.0, abs=1e-9)
     assert (tmp_path / "state.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("gamma_ab", [0.0, 0.02], ids=["closed-form", "oracle"])
+def test_evolve_writes_complex_amplitudes_with_their_global_phase(tmp_path, capsys, gamma_ab):
+    # |amplitudes| and reruns cannot see a wrong global phase; the amplitudes themselves can
+    config = {"params": {**PARAMS_NOT, "gamma_ab": gamma_ab},
+              "initial": {"theta": 1.1, "phi": 0.4}, "t": 1.3}
+    out_path = tmp_path / "state.csv"
+    code, _, _ = run(capsys, "evolve", "--config", write_config(tmp_path, "evolve.json", config),
+                     "--output", str(out_path))
+    assert code == 0
+    state = state_from_csv(out_path.read_text()).amplitudes
+    p = params_from_dict(config["params"])
+    s0 = acs_state(AcsParams(**config["initial"]), p.n_atoms)
+    if gamma_ab:  # lambda = -0.01: the command runs the oracle
+        expected = evolve_oracle(p, s0, config["t"]).amplitudes
+    else:  # lambda = 0: the command takes the closed form
+        expected = full_propagator_analytic(p, config["t"]) @ s0.amplitudes
+    assert np.max(np.abs(state - expected)) < 1e-9
 
 
 def test_evolve_missing_time(tmp_path, capsys):
@@ -358,6 +379,10 @@ BAD_INPUT_BASE = {
         ("trajectory", {}, ["--output", "/nonexistent/dir/x.csv"], "output"),
         ("trajectory", {}, ["--output", "."], "output"),
         ("trajectory", {"t_final": math.nan}, [], "t_final"),
+        # linspace repeats a time: too short for n_samples = 3 distinct times, at any lambda
+        ("trajectory", {"t_final": 5e-324}, [], "t_final"),
+        ("trajectory", {"t_final": 5e-324, "params": {**PARAMS_NOT, "gamma_ab": 0.02}}, [],
+         "t_final"),
         ("sweep", {"detuning_factor": math.nan}, [], "detuning_factor"),
         ("sweep", {"detuning_factor": "abc"}, [], "detuning_factor"),
         ("sweep", {"lambda_values": [0.0, math.nan]}, [], "lambda_values[1]"),
@@ -400,7 +425,8 @@ BAD_INPUT_BASE = {
     ],
     ids=[
         "t-nan", "t-inf", "t-bool", "t-str", "t-int-overflow", "param-int-overflow",
-        "output-dir-missing", "output-is-dir", "t_final-nan",
+        "output-dir-missing", "output-is-dir", "t_final-nan", "t_final-too-short",
+        "t_final-too-short-nonlinear",
         "detuning_factor-nan", "detuning_factor-str", "axis-nan", "axis-num-0", "workers-0",
         "g-nan", "detuning_factor-flag-nan",
         "g-overflow", "g-subnormal", "g-subnormal-phase-gate", "detuning_factor-overflow",

@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from becgates import evolve
 from becgates.fock import AcsParams
 from becgates.gates import GateId, gate_conditions, params_for_gate, run_gate
 from becgates.sweeps import (
@@ -115,6 +119,135 @@ def test_phase_gate_surface_gamma_axis_weaker_than_lambda_axis():
         along_rat = sweep_lambda_gamma(gate, [0.0], rat, n, INITIAL, workers=4).fidelities[0, :]
         assert np.all(along_lam[1:] <= along_rat[1:] + 1e-9)
         assert np.any(along_rat[1:] - along_lam[1:] > 0.05)
+
+
+# ------------------------------------------------------------ one BLAS thread per sweep
+
+OPENBLAS = evolve._openblas()
+needs_openblas = pytest.mark.skipif(
+    OPENBLAS is None, reason="numpy bundles no scipy-openblas ILP64, so no sweep pins its threads"
+)
+
+
+def blas_threads() -> int:
+    return OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS on two threads for the test, so that a pin to one shows; restored afterwards."""
+    before = blas_threads()
+    OPENBLAS.scipy_openblas_set_num_threads64_(2)
+    yield blas_threads()
+    OPENBLAS.scipy_openblas_set_num_threads64_(before)
+
+
+def threads_seen_by_cells(monkeypatch, wait=lambda spec: None) -> list:
+    """Have every sweep cell record the BLAS thread count it runs under, after wait(spec)."""
+    seen = []
+
+    def recorded(spec, *args, **kwargs):
+        wait(spec)
+        seen.append(blas_threads())
+        return run_gate(spec, *args, **kwargs)
+
+    monkeypatch.setattr("becgates.sweeps.run_gate", recorded)
+    return seen
+
+
+@needs_openblas
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_runs_its_cells_on_one_blas_thread_and_restores_the_count(
+        monkeypatch, two_blas_threads, workers):
+    seen = threads_seen_by_cells(monkeypatch)
+    sweep_lambda_gamma(GateId.Z, [0.0, 0.01], [0.0, 0.1], 12, INITIAL, workers=workers)
+    assert seen == [1] * 4
+    assert blas_threads() == two_blas_threads == 2
+
+
+@needs_openblas
+def test_sweep_whose_cell_raises_restores_the_blas_thread_count(monkeypatch, two_blas_threads):
+    def broken(*args, **kwargs):
+        raise ValueError("not a parameter failure")
+
+    monkeypatch.setattr("becgates.sweeps.run_gate", broken)
+    with pytest.raises(ValueError, match="not a parameter failure"):
+        sweep_lambda_gamma(GateId.NOT, [0.0], [0.0], 8, INITIAL)
+    assert blas_threads() == two_blas_threads
+
+
+@needs_openblas
+def test_overlapping_sweeps_share_one_pin_and_the_last_restores(monkeypatch, two_blas_threads):
+    # both sweeps enter before either cell runs; the S sweep then leaves while the T sweep's
+    # cell waits, and must not restore the count under it
+    both_in = threading.Barrier(2, timeout=30)
+    s_left = threading.Event()
+
+    def wait(spec):
+        both_in.wait()
+        if spec.gate is GateId.T:
+            assert s_left.wait(timeout=30)
+
+    seen = threads_seen_by_cells(monkeypatch, wait)
+
+    def s_sweep():
+        sweep_lambda_gamma(GateId.S, [0.01], [0.0], 12, INITIAL)
+        s_left.set()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(s_sweep),
+                   pool.submit(sweep_lambda_gamma, GateId.T, [0.01], [0.0], 12, INITIAL)]
+        for future in futures:
+            future.result()
+    assert seen == [1, 1]
+    assert blas_threads() == two_blas_threads
+
+
+@needs_openblas
+def test_pin_holds_under_many_threads_switching_often(two_blas_threads):
+    # more threads than cores: a lost update of the shared depth would leave the count pinned,
+    # or restore it under a body that still runs
+    inside = []
+
+    def enter_and_leave():
+        for _ in range(5000):
+            with evolve._one_blas_thread():
+                inside.append(blas_threads())
+
+    threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert inside == [1] * 40_000
+    assert blas_threads() == two_blas_threads and evolve._pin_depth == 0
+
+
+@needs_openblas
+def test_sweep_without_the_library_pins_nothing(monkeypatch, two_blas_threads):
+    # the dense fallback: the probe finds no library, so the sweep solves densely, unpinned
+    monkeypatch.setattr(evolve, "_openblas", lambda: None)
+    monkeypatch.setattr(evolve, "_dstevd", lambda: None)
+    seen = threads_seen_by_cells(monkeypatch)
+    grid = sweep_lambda_gamma(GateId.Z, [0.0, 0.01], [0.0], 12, INITIAL, workers=2)
+    assert np.all(np.isfinite(grid.fidelities))
+    assert seen == [two_blas_threads] * 2
+    assert blas_threads() == two_blas_threads
+
+
+@pytest.mark.slow
+def test_nonlinear_cells_at_production_size_keep_their_bits_for_any_worker_count():
+    # at N = 1000 dstevd's bits depend on its BLAS thread count, which the pin fixes to one
+    lam, rat = [0.005, 0.01], [0.0, 0.1]
+    serial = sweep_lambda_gamma(GateId.NOT, lam, rat, 1000, INITIAL, workers=1)
+    pooled = sweep_lambda_gamma(GateId.NOT, lam, rat, 1000, INITIAL, workers=2)
+    assert np.array_equal(serial.fidelities, pooled.fidelities)
 
 
 # --------------------------------------------------------------------- delta sweep
